@@ -219,7 +219,11 @@ void KVResourceManager::Prepare(uint64_t txn, VoteCallback done) {
 void KVResourceManager::Commit(uint64_t txn, DoneCallback done) {
   auto it = active_.find(txn);
   if (it == active_.end()) {
-    done(Status::OK());  // nothing local (e.g. read-only already ended)
+    // Nothing local (e.g. read-only already ended). A reader that voted
+    // without ending its read-only work (the paxos path) still holds its
+    // read locks.
+    locks_.ReleaseAll(txn);
+    done(Status::OK());
     return;
   }
   if (CrashHere(kBeforeCommittedLog)) return;
@@ -244,6 +248,7 @@ void KVResourceManager::Commit(uint64_t txn, DoneCallback done) {
 void KVResourceManager::Abort(uint64_t txn, DoneCallback done) {
   auto it = active_.find(txn);
   if (it == active_.end()) {
+    locks_.ReleaseAll(txn);  // a reader's locks, as in Commit
     done(Status::OK());
     return;
   }

@@ -174,46 +174,104 @@ void LiveRuntime::WaitIdle() {
   idle_cv_.wait(lock, [this] { return ready_.empty() && running_ == 0; });
 }
 
+namespace {
+
+// Set while this thread runs a deferred item. The first node the item makes
+// ready (a posted storage completion) gets no wake-up; it is recorded in
+// `tls_held` instead, for this worker to run itself: before its next
+// deferred item, or by returning to the ready queue.
+thread_local bool tls_in_deferred = false;
+thread_local LiveNodeRuntime* tls_held = nullptr;
+
+}  // namespace
+
 void LiveRuntime::Enqueue(LiveNodeRuntime* node) {
   {
     std::lock_guard<std::mutex> lock(ready_mu_);
     ready_.push_back(node);
   }
+  if (tls_in_deferred && tls_held == nullptr) {
+    tls_held = node;
+    return;
+  }
   ready_cv_.notify_one();
+}
+
+bool LiveRuntime::RunBatch(LiveNodeRuntime* node, std::deque<Task>& batch) {
+  // Exclusive run rights on `node` until we release its scheduled flag.
+  {
+    std::lock_guard<std::mutex> lock(node->mu_);
+    batch.swap(node->mailbox_);
+  }
+  for (Task& t : batch) t();
+  batch.clear();
+  std::lock_guard<std::mutex> lock(node->mu_);
+  if (!node->mailbox_.empty()) return true;
+  node->scheduled_ = false;
+  return false;
+}
+
+void LiveRuntime::RunDeferred(std::vector<DeferredWork>& deferred,
+                              std::deque<Task>& batch) {
+  // Items may append items, so walk by index.
+  for (size_t i = 0; i < deferred.size(); ++i) {
+    DeferredWork work = std::move(deferred[i]);
+    if (tls_held != nullptr) {
+      // About to block again: run the held node here (a completion's ack)
+      // rather than wake a worker for it — unless one already took it.
+      LiveNodeRuntime* node = std::exchange(tls_held, nullptr);
+      bool claimed;
+      {
+        std::lock_guard<std::mutex> lock(ready_mu_);
+        auto it = std::find(ready_.begin(), ready_.end(), node);
+        claimed = it != ready_.end();
+        if (claimed) ready_.erase(it);
+      }
+      if (claimed && RunBatch(node, batch)) Enqueue(node);
+    }
+    tls_in_deferred = true;
+    work();
+    tls_in_deferred = false;
+  }
+  deferred.clear();
+  tls_held = nullptr;  // this worker goes back to the ready queue next
+  std::lock_guard<std::mutex> lock(ready_mu_);
+  --running_;
+  if (ready_.empty() && running_ == 0) idle_cv_.notify_all();
 }
 
 void LiveRuntime::WorkerLoop() {
   std::deque<Task> batch;
+  std::vector<DeferredWork> deferred;
+  tls_deferred = &deferred;
   for (;;) {
     LiveNodeRuntime* node;
     {
       std::unique_lock<std::mutex> lock(ready_mu_);
       ready_cv_.wait(lock, [this] { return stopping_ || !ready_.empty(); });
-      if (stopping_) return;
+      if (stopping_) {
+        tls_deferred = nullptr;
+        return;
+      }
       node = ready_.front();
       ready_.pop_front();
       ++running_;
     }
-    // Exclusive run rights on `node` until we release its scheduled flag.
-    {
-      std::lock_guard<std::mutex> lock(node->mu_);
-      batch.swap(node->mailbox_);
-    }
-    for (Task& t : batch) t();
-    batch.clear();
-    bool requeue;
-    {
-      std::lock_guard<std::mutex> lock(node->mu_);
-      requeue = !node->mailbox_.empty();
-      if (!requeue) node->scheduled_ = false;
-    }
+    const bool requeue = RunBatch(node, batch);
     {
       std::lock_guard<std::mutex> lock(ready_mu_);
       if (requeue) ready_.push_back(node);
-      --running_;
-      if (ready_.empty() && running_ == 0) idle_cv_.notify_all();
+      if (deferred.empty()) {
+        --running_;
+        if (ready_.empty() && running_ == 0) idle_cv_.notify_all();
+      }
     }
+    // With nothing deferred this worker goes back to the ready queue next,
+    // so a requeued node needs no wake-up.
+    if (deferred.empty()) continue;
     if (requeue) ready_cv_.notify_one();
+    // The node is released; its blocking work runs here, off its mailbox.
+    RunDeferred(deferred, batch);
   }
 }
 

@@ -21,10 +21,15 @@
 //   - Now() is a monotonic wall clock (microseconds since runtime start);
 //     NextTxnId() is one shared atomic, so ids stay cluster-unique.
 //
-// A blocking call inside a task (FileStorage's fsync) parks only that
-// node's worker; other ready nodes run on the remaining workers. That I/O
-// overlap — not compute parallelism — is where live commit throughput
-// scales with the worker count, on any core count.
+// Blocking storage work never holds a node. FileStorage appends its write +
+// fdatasync to the worker's deferred list (runtime.h, tls_deferred), and
+// the worker runs it after it has cleared the node's `scheduled` flag or
+// re-enqueued the node, so the node's mailbox keeps draining on other
+// workers while its device syncs. A worker running deferred work still
+// counts as running: WaitIdle means no mailbox work and no sync in flight.
+// I/O overlap — different nodes' syncs, and a node's sync with its own
+// message handling — not compute parallelism, is where live commit
+// throughput scales with the worker count, on any core count.
 
 #ifndef TPC_RUNTIME_LIVE_RUNTIME_H_
 #define TPC_RUNTIME_LIVE_RUNTIME_H_
@@ -153,8 +158,9 @@ class LiveRuntime {
 
   uint64_t NextTxnId() { return ++txn_ids_; }
 
-  /// Blocks until no node is ready or running. Timers may still be armed;
-  /// quiescence here means the mailboxes drained.
+  /// Blocks until no node is ready or running and no deferred work (a log
+  /// sync) is in flight. Timers may still be armed; quiescence here means
+  /// the mailboxes drained.
   void WaitIdle();
 
   const Options& options() const { return options_; }
@@ -164,6 +170,14 @@ class LiveRuntime {
   friend class TimerWheel;
 
   void WorkerLoop();
+  /// Runs one batch of `node`'s mailbox, then releases the node. True if
+  /// tasks arrived meanwhile: the node stays scheduled and the caller must
+  /// enqueue it.
+  bool RunBatch(LiveNodeRuntime* node, std::deque<Task>& batch);
+  /// Runs the work node batches deferred, then stops counting the worker
+  /// as running.
+  void RunDeferred(std::vector<DeferredWork>& deferred,
+                   std::deque<Task>& batch);
   void TickLoop();
   void Enqueue(LiveNodeRuntime* node);  ///< node became ready
 
@@ -176,7 +190,7 @@ class LiveRuntime {
   std::condition_variable ready_cv_;
   std::condition_variable idle_cv_;
   std::deque<LiveNodeRuntime*> ready_;
-  int running_ = 0;  ///< workers currently executing a node batch
+  int running_ = 0;  ///< workers executing a node batch or its deferred work
   bool stopping_ = false;
   bool started_ = false;
 

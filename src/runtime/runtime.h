@@ -34,10 +34,23 @@
 #define TPC_RUNTIME_RUNTIME_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "sim/event_queue.h"
 
 namespace tpc::runtime {
+
+/// Blocking work a live node runs past its own mailbox.
+using DeferredWork = sim::InlineFunction<16>;
+
+/// On a LiveRuntime worker this points at the worker's deferred list; it is
+/// null on every other thread (the sim included). A backend that must block
+/// — the file log's write + fdatasync — appends that part here instead of
+/// running it inline. The worker runs the items in order on the same thread
+/// after it has released the node whose batch appended them, so the node's
+/// mailbox keeps draining on other workers while the device syncs. An item
+/// may append further items.
+inline thread_local std::vector<DeferredWork>* tls_deferred = nullptr;
 
 /// Timer handles reuse the sim kernel's (generation << 32 | slot) encoding;
 /// LiveRuntime's wheel mints ids with the same stale-handle-safe scheme.

@@ -10,6 +10,7 @@
 #include <thread>
 #include <utility>
 
+#include "runtime/runtime.h"
 #include "util/logging.h"
 
 namespace tpc::wal {
@@ -43,6 +44,29 @@ FileStorage::~FileStorage() {
 }
 
 void FileStorage::Write(std::string data, WriteCallback done) {
+  TPC_CHECK(runtime::tls_deferred != nullptr);  // only on a live worker
+  ++outstanding_;
+  bool start;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    jobs_.push_back(Job{std::move(data), std::move(done)});
+    start = !draining_;
+    draining_ = true;
+  }
+  if (start) runtime::tls_deferred->push_back([this] { ServiceNext(); });
+}
+
+void FileStorage::ServiceNext() {
+  std::string data;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (synced_ == jobs_.size()) {  // a Crash dropped what was queued
+      draining_ = false;
+      return;
+    }
+    in_service_ = true;
+    data = std::move(jobs_[synced_].data);
+  }
   const int64_t start = NowUs();
   size_t written = 0;
   while (written < data.size()) {
@@ -52,24 +76,63 @@ void FileStorage::Write(std::string data, WriteCallback done) {
     written += static_cast<size_t>(n);
   }
   if (options_.sync && !data.empty()) TPC_CHECK(::fdatasync(fd_) == 0);
-  // The bytes and their size are on stable media: fold into the mirror.
-  durable_.append(data);
-  ++completed_writes_;
-  bytes_written_ += data.size();
-  if (recycler_) recycler_(std::move(data));
   const int64_t elapsed = NowUs() - start;
   if (elapsed < options_.floor_us)
     std::this_thread::sleep_for(
         std::chrono::microseconds(options_.floor_us - elapsed));
-  sync_wall_us_ += std::max(elapsed, options_.floor_us);
+  uint64_t epoch;
+  bool more;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    Job& job = jobs_[synced_++];
+    job.data = std::move(data);
+    job.service_us = std::max(elapsed, options_.floor_us);
+    in_service_ = false;
+    epoch = epoch_;
+    more = synced_ < jobs_.size();
+    draining_ = more;
+  }
+  service_done_.notify_all();
   // Ack later, on the node's context — never re-entrantly from Write.
-  if (done) post_(std::move(done));
+  post_([this, epoch] { Complete(epoch); });
+  if (more) runtime::tls_deferred->push_back([this] { ServiceNext(); });
+}
+
+void FileStorage::Complete(uint64_t epoch) {
+  if (epoch != epoch_) return;  // Crash folded this write already
+  Job job;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    job = std::move(jobs_.front());
+    jobs_.pop_front();
+    --synced_;
+  }
+  --outstanding_;
+  Fold(job);
+  if (job.done) job.done();
+}
+
+void FileStorage::Fold(Job& job) {
+  // The bytes and their size are on stable media: fold into the mirror.
+  durable_.append(job.data);
+  ++completed_writes_;
+  bytes_written_ += job.data.size();
+  sync_wall_us_ += job.service_us;
+  if (recycler_) recycler_(std::move(job.data));
 }
 
 void FileStorage::Crash() {
-  // Every submitted write completed (and synced) inline, so there is
-  // nothing in flight to lose; the epoch guard in LogManager already
-  // ignores completions posted before the crash.
+  std::unique_lock<std::mutex> lock(mu_);
+  // Writes not yet started are lost with the node; a write in service
+  // cannot be recalled, so it finishes and survives like every synced one.
+  const size_t keep = synced_ + (in_service_ ? 1 : 0);
+  jobs_.erase(jobs_.begin() + static_cast<std::ptrdiff_t>(keep), jobs_.end());
+  service_done_.wait(lock, [this] { return !in_service_; });
+  for (Job& job : jobs_) Fold(job);
+  jobs_.clear();
+  synced_ = 0;
+  outstanding_ = 0;
+  ++epoch_;  // the folded writes' posted completions become no-ops
 }
 
 void FileStorage::Truncate(uint64_t bytes) {

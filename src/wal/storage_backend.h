@@ -7,10 +7,12 @@
 //   - StableStorage (stable_storage.h): the simulated log device — queueing
 //     model, service times on the sim clock, in-order retirement, epoch
 //     crash semantics. Deterministic; the trace-frozen default.
-//   - FileStorage (file_storage.h): a real append-only file. Write performs
-//     pwrite + fdatasync inline on the calling (node worker) thread and
-//     posts the completion to the node's mailbox, so group commit batches
-//     actual fsyncs and a kill leaves exactly the synced prefix on disk.
+//   - FileStorage (file_storage.h): a real append-only file. Write queues
+//     the bytes; the live worker that ran the node's batch does the write +
+//     fdatasync after releasing the node, and the completion is posted to
+//     the node's mailbox. Group commit batches actual fsyncs, the node keeps
+//     handling messages while its device syncs, and a kill leaves exactly
+//     the synced prefix on disk.
 //
 // Contract every backend guarantees:
 //   - Writes retire in submission order; durable() is always a prefix of

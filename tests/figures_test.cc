@@ -5,21 +5,30 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "harness/scenarios.h"
 
 namespace tpc {
 namespace {
 
 struct FigureExpectation {
-  int figure;
+  // 64-bit so the struct has no padding: gtest names each case by dumping
+  // the param's bytes, and padding would put uninitialized stack bytes into
+  // the test names, changing them from one test discovery to the next.
+  std::int64_t figure;
   const char* totals;  // the "--- totals:" line the scenario must print
 };
+static_assert(sizeof(FigureExpectation) ==
+                  sizeof(std::int64_t) + sizeof(const char*),
+              "FigureExpectation must have no padding");
 
 class FigureTest : public ::testing::TestWithParam<FigureExpectation> {};
 
 TEST_P(FigureTest, TotalsMatchThePaper) {
   const FigureExpectation& expected = GetParam();
-  std::string rendered = harness::RunFigureScenario(expected.figure);
+  std::string rendered =
+      harness::RunFigureScenario(static_cast<int>(expected.figure));
   EXPECT_NE(rendered.find(expected.totals), std::string::npos)
       << "figure " << expected.figure << " rendered:\n"
       << rendered;

@@ -1,6 +1,9 @@
 // Live-backend tests: the same protocol engines on real threads.
 //
 //  - LiveRuntime substrate: mailbox FIFO, timer fire, claim-on-run cancel.
+//  - Deferred log syncs: a node's mailbox runs while its device syncs,
+//    WaitIdle covers syncs in flight, and a crash mid-sync leaves the
+//    durable mirror equal to the file.
 //  - Sim/live equivalence: one PA commit + one abort driven through both
 //    backends produce the same decisions, the same per-node durable
 //    log-record sequences, the same stores, and the same lock-release
@@ -16,14 +19,18 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <future>
+#include <iterator>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "harness/cluster.h"
 #include "harness/live_cluster.h"
+#include "wal/file_storage.h"
 #include "wal/log_record.h"
 
 namespace tpc {
@@ -80,6 +87,114 @@ TEST(LiveRuntimeTest, MailboxFifoAndTimers) {
   rt.WaitIdle();
   rt.Stop();
   EXPECT_FALSE(ran.load());
+}
+
+// --- deferred log syncs ------------------------------------------------------
+
+// A FileStorage on `node`'s mailbox with a slow (100 ms) device.
+std::unique_ptr<wal::FileStorage> SlowFile(runtime::LiveNodeRuntime* node,
+                                           const std::string& dir) {
+  std::filesystem::create_directories(dir);
+  wal::FileStorageOptions options;
+  options.floor_us = 100'000;
+  return std::make_unique<wal::FileStorage>(
+      dir + "/n.log",
+      [node](wal::StorageBackend::WriteCallback&& done) {
+        node->Post(runtime::Task([cb = std::move(done)]() mutable { cb(); }));
+      },
+      options);
+}
+
+std::string FileContents(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// The node's mailbox keeps running while its device syncs: a task posted
+// after a force was issued runs before the force's ack, and WaitIdle does
+// not return while that sync is in flight.
+TEST(LiveRuntimeTest, MailboxRunsWhileTheDeviceSyncs) {
+  runtime::LiveRuntime rt(runtime::LiveOptions{2, 100});
+  runtime::LiveNodeRuntime* n = rt.AddNode("n");
+  const std::string dir = FreshDir("sync_overlap");
+  std::unique_ptr<wal::FileStorage> file = SlowFile(n, dir);
+  rt.Start();
+
+  std::atomic<bool> acked{false};
+  std::promise<void> issued;
+  n->Post(runtime::Task([&file, &acked, &issued] {
+    file->Write("forced", [&acked] { acked = true; });
+    EXPECT_EQ(file->writes_outstanding(), 1u);
+    issued.set_value();
+  }));
+  issued.get_future().wait();
+  std::promise<bool> acked_at_task;
+  n->Post(runtime::Task([&acked, &acked_at_task] {
+    acked_at_task.set_value(acked.load());
+  }));
+  EXPECT_FALSE(acked_at_task.get_future().get())
+      << "the task waited for the node's own fsync";
+  rt.WaitIdle();
+  EXPECT_TRUE(acked.load()) << "WaitIdle returned with a sync in flight";
+  rt.Stop();
+  EXPECT_EQ(file->durable(), "forced");
+  EXPECT_EQ(file->writes_outstanding(), 0u);
+  EXPECT_GE(file->sync_wall_us(), 100'000);
+  file.reset();
+  std::filesystem::remove_all(dir);
+}
+
+// Crash() with a sync in flight: the write in service finishes and
+// survives, the queued one is lost, durable() equals the file byte for
+// byte, a reopened FileStorage reloads the same image, and no stale
+// completion runs.
+TEST(LiveRuntimeTest, CrashWithSyncInFlightKeepsMirrorEqualToFile) {
+  runtime::LiveRuntime rt(runtime::LiveOptions{2, 100});
+  runtime::LiveNodeRuntime* n = rt.AddNode("n");
+  const std::string dir = FreshDir("sync_crash");
+  std::unique_ptr<wal::FileStorage> file = SlowFile(n, dir);
+  rt.Start();
+
+  std::atomic<int> acks{0};
+  std::promise<void> issued;
+  n->Post(runtime::Task([&file, &acks, &issued] {
+    file->Write("first|", [&acks] { ++acks; });
+    file->Write("second|", [&acks] { ++acks; });
+    issued.set_value();
+  }));
+  issued.get_future().wait();
+  // The first write is in service once its bytes reach the file: the drain
+  // then sits out the 100 ms floor before it can ack.
+  const std::string path = dir + "/n.log";
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (FileContents(path).empty() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::string after_crash;
+  std::string on_disk;
+  std::promise<void> crashed;
+  n->Post(runtime::Task([&] {
+    file->Crash();
+    after_crash = file->durable();
+    on_disk = FileContents(path);
+    EXPECT_EQ(file->writes_outstanding(), 0u);
+    crashed.set_value();
+  }));
+  crashed.get_future().wait();
+  rt.WaitIdle();
+  rt.Stop();
+
+  EXPECT_EQ(after_crash, on_disk);
+  EXPECT_FALSE(after_crash.empty()) << "the write in service was lost";
+  EXPECT_EQ(std::string("first|second|").rfind(after_crash, 0), 0u);
+  EXPECT_EQ(file->durable(), after_crash);
+  EXPECT_EQ(acks.load(), 0) << "a completion from before the crash ran";
+  wal::FileStorage reopened(path, [](wal::StorageBackend::WriteCallback&&) {});
+  EXPECT_EQ(reopened.durable(), after_crash);
+  file.reset();
+  std::filesystem::remove_all(dir);
 }
 
 // --- sim/live equivalence ----------------------------------------------------

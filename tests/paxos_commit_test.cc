@@ -431,6 +431,47 @@ TEST(PaxosCommitTest, AcceptorStateIsGarbageCollectedAcrossClosedLoop) {
       << "acceptor-only node keeps per-txn state after resolution";
 }
 
+// A read-only subordinate votes on the paxos path without ending its
+// read-only work, so its IS+S read locks must go when the commit decision
+// reaches its RM — at F=1 and at the F=0 degenerate alike.
+TEST(PaxosCommitTest, ReadOnlySubordinateReleasesItsLocks) {
+  for (const bool f0 : {false, true}) {
+    SCOPED_TRACE(f0 ? "F=0" : "F=1");
+    Cluster c{1};
+    NodeOptions o;
+    o.tm.protocol = ProtocolKind::kPaxosCommit;
+    o.tm.acceptors = {"c0"};
+    if (!f0) o.tm.acceptors = {"c0", "w1", "r2"};
+    for (const char* n : {"c0", "w1", "r2"}) c.AddNode(n, o);
+    c.Connect("c0", "w1");
+    c.Connect("c0", "r2");
+    if (!f0) c.Connect("w1", "r2");
+    c.tm("w1").SetAppDataHandler(
+        [&c](uint64_t t, const net::NodeId&, std::string_view) {
+          c.tm("w1").Write(t, 0, "k_w1", "v", [](Status) {});
+        });
+    c.tm("r2").SetAppDataHandler(
+        [&c](uint64_t t, const net::NodeId&, std::string_view) {
+          c.tm("r2").Read(t, 0, "k_r2", [](Result<std::string>) {});
+        });
+
+    const uint64_t txn = c.tm("c0").Begin();
+    c.tm("c0").Write(txn, 0, "k_c0", "v", [](Status) {});
+    ASSERT_TRUE(c.tm("c0").SendWork(txn, "w1").ok());
+    ASSERT_TRUE(c.tm("c0").SendWork(txn, "r2").ok());
+    c.RunFor(sim::kSecond);
+    lock::LockManager& reader_locks = c.node("r2").rm().locks();
+    ASSERT_EQ(reader_locks.HeldLockCount(), 2u);  // IS on the store, S on k_r2
+
+    const DrivenCommit r = c.CommitAndWait("c0", txn, 60 * sim::kSecond);
+    ASSERT_TRUE(r.completed);
+    ASSERT_EQ(r.result.outcome, tm::Outcome::kCommitted);
+    c.RunFor(20 * sim::kSecond);
+    EXPECT_EQ(c.tm("r2").View(txn).outcome, tm::Outcome::kCommitted);
+    EXPECT_EQ(reader_locks.HeldLockCount(), 0u);
+  }
+}
+
 // --- one-phase family -------------------------------------------------------
 
 struct OnePhaseCluster {
