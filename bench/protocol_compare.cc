@@ -18,6 +18,7 @@
 
 #include "harness/bench_report.h"
 #include "harness/cluster.h"
+#include "harness/scenarios.h"
 #include "util/format.h"
 #include "util/logging.h"
 
@@ -26,7 +27,6 @@ namespace {
 using namespace tpc;
 using harness::BenchReport;
 using harness::Cluster;
-using harness::NodeOptions;
 using harness::SweepCell;
 using tm::ProtocolKind;
 
@@ -46,52 +46,15 @@ constexpr ProtocolKind kAllProtocols[] = {
 
 RunResult RunOne(ProtocolKind protocol, bool abort_case,
                  bool paxos_f0 = false) {
-  Cluster c;
-  NodeOptions options;
-  options.tm.protocol = protocol;
-  // Paxos Commit needs a 2F+1 acceptor set (F=1): both participants plus
-  // one acceptor-only node, so acceptor state is co-located where possible
-  // (the paper's "transaction manager as acceptor" deployment). The F=0
-  // degenerate keeps a single acceptor co-located at the coordinator —
-  // non-blocking is traded away and the cost collapses to PA's.
-  if (tm::IsPaxos(protocol)) {
-    options.tm.acceptors = paxos_f0 ? std::vector<std::string>{"coord"}
-                                    : std::vector<std::string>{"coord", "sub",
-                                                               "acc"};
-  }
-  c.AddNode("coord", options);
-  c.AddNode("sub", options);
-  c.Connect("coord", "sub");
-  if (tm::IsPaxos(protocol) && !paxos_f0) {
-    NodeOptions acc_options = options;
-    acc_options.num_rms = 0;
-    c.AddNode("acc", acc_options);
-    c.Connect("coord", "acc");
-    c.Connect("sub", "acc");
-  }
-  c.tm("sub").SetAppDataHandler(
-      [&c](uint64_t txn, const net::NodeId&, std::string_view) {
-        c.tm("sub").Write(txn, 0, "s", "v",
-                          [](Status st) { TPC_CHECK(st.ok()); });
-      });
-  uint64_t txn = c.tm("coord").Begin();
-  c.tm("coord").Write(txn, 0, "k", "v", [](Status st) { TPC_CHECK(st.ok()); });
-  TPC_CHECK(c.tm("coord").SendWork(txn, "sub").ok());
-  // One-phase subordinates prepare unsolicited once their work quiesces, so
-  // a NO voter must be armed before the quiesce window, not at commit time.
-  if (abort_case && tm::IsOnePhase(protocol))
-    c.node("sub").rm().FailNextPrepare();
-  c.RunFor(sim::kSecond);
-  if (abort_case && !tm::IsOnePhase(protocol))
-    c.node("sub").rm().FailNextPrepare();
-  auto commit = c.CommitAndWait("coord", txn);
-  TPC_CHECK(commit.completed);
-  c.RunFor(30 * sim::kSecond);
+  harness::FamilyCellRun run =
+      harness::RunFamilyCell(protocol, abort_case, paxos_f0);
+  Cluster& c = *run.cluster;
   RunResult result;
-  result.coord = c.tm("coord").CostOf(txn);
-  result.sub = c.tm("sub").CostOf(txn);
-  if (tm::IsPaxos(protocol) && !paxos_f0) result.acc = c.tm("acc").CostOf(txn);
-  result.committed = commit.result.outcome == tm::Outcome::kCommitted;
+  result.coord = c.tm("coord").CostOf(run.txn);
+  result.sub = c.tm("sub").CostOf(run.txn);
+  if (tm::IsPaxos(protocol) && !paxos_f0)
+    result.acc = c.tm("acc").CostOf(run.txn);
+  result.committed = run.commit.result.outcome == tm::Outcome::kCommitted;
   return result;
 }
 

@@ -74,6 +74,7 @@ class ScriptRunner {
       ++report_.commands;
     }
     report_.output = out_;
+    report_.trace = cluster_.ctx().trace().Render();
     return std::move(report_);
   }
 

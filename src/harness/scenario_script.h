@@ -49,6 +49,7 @@ struct ScriptReport {
   int commands = 0;      ///< commands executed
   int expect_failed = 0; ///< expect-* commands that did not hold
   std::string output;    ///< printed output (diagrams, costs, failures)
+  std::string trace;     ///< the whole run's rendered trace
 };
 
 /// Parses and executes `script`. Returns InvalidArgument on syntax errors

@@ -772,4 +772,57 @@ std::string RunFigureScenario(int figure) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// protocol_compare's cell
+// ---------------------------------------------------------------------------
+
+FamilyCellRun RunFamilyCell(ProtocolKind protocol, bool abort_case,
+                            bool paxos_f0) {
+  FamilyCellRun run;
+  run.cluster = std::make_unique<Cluster>();
+  Cluster& c = *run.cluster;
+  NodeOptions options;
+  options.tm.protocol = protocol;
+  // Paxos Commit needs a 2F+1 acceptor set (F=1): both participants plus
+  // one acceptor-only node, so acceptor state is co-located where possible
+  // (the paper's "transaction manager as acceptor" deployment). The F=0
+  // degenerate keeps a single acceptor co-located at the coordinator —
+  // non-blocking is traded away and the cost collapses to PA's.
+  if (tm::IsPaxos(protocol)) {
+    options.tm.acceptors = paxos_f0 ? std::vector<std::string>{"coord"}
+                                    : std::vector<std::string>{"coord", "sub",
+                                                               "acc"};
+  }
+  c.AddNode("coord", options);
+  c.AddNode("sub", options);
+  c.Connect("coord", "sub");
+  if (tm::IsPaxos(protocol) && !paxos_f0) {
+    NodeOptions acc_options = options;
+    acc_options.num_rms = 0;
+    c.AddNode("acc", acc_options);
+    c.Connect("coord", "acc");
+    c.Connect("sub", "acc");
+  }
+  c.tm("sub").SetAppDataHandler(
+      [&c](uint64_t txn, const net::NodeId&, std::string_view) {
+        c.tm("sub").Write(txn, 0, "s", "v",
+                          [](Status st) { TPC_CHECK(st.ok()); });
+      });
+  run.txn = c.tm("coord").Begin();
+  c.tm("coord").Write(run.txn, 0, "k", "v",
+                      [](Status st) { TPC_CHECK(st.ok()); });
+  TPC_CHECK(c.tm("coord").SendWork(run.txn, "sub").ok());
+  // One-phase subordinates prepare unsolicited once their work quiesces, so
+  // a NO voter must be armed before the quiesce window, not at commit time.
+  if (abort_case && tm::IsOnePhase(protocol))
+    c.node("sub").rm().FailNextPrepare();
+  c.RunFor(sim::kSecond);
+  if (abort_case && !tm::IsOnePhase(protocol))
+    c.node("sub").rm().FailNextPrepare();
+  run.commit = c.CommitAndWait("coord", run.txn);
+  TPC_CHECK(run.commit.completed);
+  c.RunFor(30 * sim::kSecond);
+  return run;
+}
+
 }  // namespace tpc::harness

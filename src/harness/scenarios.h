@@ -7,6 +7,7 @@
 #define TPC_HARNESS_SCENARIOS_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,21 @@ analysis::CostTriplet RunTable4Scenario(analysis::Table4Variant variant,
 /// Renders the message-flow / log-write time sequence reproducing one of
 /// the paper's figures (1-8), with a short verification footer.
 std::string RunFigureScenario(int figure);
+
+/// One settled run of protocol_compare's cell.
+struct FamilyCellRun {
+  std::unique_ptr<Cluster> cluster;
+  uint64_t txn = 0;
+  DrivenCommit commit;
+};
+
+/// protocol_compare's cell: a coordinator ("coord") and one updating
+/// subordinate ("sub") run one transaction under `protocol`, then the loop
+/// runs 30 simulated seconds more for stragglers. In the abort case the
+/// subordinate's RM votes NO. Paxos Commit uses F=1 with an acceptor-only
+/// third node ("acc"), or with `paxos_f0` a single acceptor at "coord".
+FamilyCellRun RunFamilyCell(tm::ProtocolKind protocol, bool abort_case,
+                            bool paxos_f0 = false);
 
 }  // namespace tpc::harness
 
