@@ -191,5 +191,70 @@ TEST(PresumedCommitTest, CascadedTreeCommits) {
   EXPECT_EQ(c.TotalCost(txn).flows_sent, 6u);
 }
 
+// Both families that force a collecting record before Prepare (PN's
+// commit-pending, PC's collecting) must close it with END even when the
+// whole transaction turns out read-only. An open collecting record is
+// re-decided as an abort by recovery after any later crash.
+class ReadOnlyCollectingTest : public ::testing::TestWithParam<ProtocolKind> {
+};
+
+TEST_P(ReadOnlyCollectingTest, CrashLeavesTheReadOnlyVerdictAlone) {
+  Cluster c;
+  NodeOptions options;
+  options.tm.protocol = GetParam();
+  c.AddNode("coord", options);
+  c.AddNode("sub", options);
+  c.Connect("coord", "sub");
+  c.tm("sub").SetAppDataHandler(
+      [&c](uint64_t txn, const net::NodeId&, std::string_view op) {
+        if (op == "read") {
+          c.tm("sub").Read(txn, 0, "sub_key", [](Result<std::string>) {});
+        } else {
+          c.tm("sub").Write(txn, 0, "sub_key", "v",
+                            [](Status st) { ASSERT_TRUE(st.ok()); });
+        }
+      });
+
+  uint64_t read_only = c.tm("coord").Begin();
+  c.tm("coord").Read(read_only, 0, "coord_key", [](Result<std::string>) {});
+  ASSERT_TRUE(c.tm("coord").SendWork(read_only, "sub", "read").ok());
+  c.RunFor(sim::kSecond);
+  auto ro_commit = c.CommitAndWait("coord", read_only);
+  ASSERT_TRUE(ro_commit.completed);
+  ASSERT_EQ(ro_commit.result.outcome, Outcome::kCommitted);
+  const tm::TxnView verdict = c.tm("coord").View(read_only);
+
+  // An update transaction whose forces cover the read-only one's END.
+  uint64_t update = c.tm("coord").Begin();
+  c.tm("coord").Write(update, 0, "coord_key", "v",
+                      [](Status st) { ASSERT_TRUE(st.ok()); });
+  ASSERT_TRUE(c.tm("coord").SendWork(update, "sub", "write").ok());
+  c.RunFor(sim::kSecond);
+  auto commit = c.CommitAndWait("coord", update);
+  ASSERT_TRUE(commit.completed);
+  ASSERT_EQ(commit.result.outcome, Outcome::kCommitted);
+  c.RunFor(sim::kSecond);
+
+  const uint64_t flows = c.tm("coord").CostOf(read_only).flows_sent;
+  c.ctx().failures().CrashNow("coord");
+  c.node("coord").Restart();
+  c.RunFor(120 * sim::kSecond);
+
+  EXPECT_FALSE(c.tm("coord").Knows(read_only));
+  EXPECT_EQ(c.tm("coord").View(read_only).outcome, verdict.outcome);
+  EXPECT_EQ(c.tm("coord").View(read_only).damage_reported_here,
+            verdict.damage_reported_here);
+  // No recovery flows (abort, then awaiting its ack) for the read-only txn.
+  EXPECT_EQ(c.tm("coord").CostOf(read_only).flows_sent, flows);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CollectingFamilies, ReadOnlyCollectingTest,
+    ::testing::Values(ProtocolKind::kPresumedNothing,
+                      ProtocolKind::kPresumedCommit),
+    [](const ::testing::TestParamInfo<ProtocolKind>& info) {
+      return info.param == ProtocolKind::kPresumedNothing ? "PN" : "PC";
+    });
+
 }  // namespace
 }  // namespace tpc
