@@ -212,6 +212,46 @@ TEST(LastAgentOptTest, LastAgentNoAbortsInitiator) {
   EXPECT_TRUE(c.Audit(txn).consistent);
 }
 
+TEST(LastAgentOptTest, OneFlowAcksEveryDecisionSentOnTheSession) {
+  // Two last-agent decisions cross one session before the initiator's next
+  // flow. That flow is the implied ack of both, so both must close.
+  Cluster c;
+  NodeOptions options = PaOptions();
+  options.tm.last_agent_opt = true;
+  c.AddNode("coord", options);
+  c.AddNode("sub", options);
+  c.Connect("coord", "sub");
+  c.tm("sub").SetAppDataHandler(
+      [&c](uint64_t txn, const net::NodeId&, std::string_view) {
+        c.tm("sub").Write(txn, 0, "sub_key" + std::to_string(txn), "v",
+                          [](Status st) { ASSERT_TRUE(st.ok()); });
+      });
+  uint64_t txns[2];
+  for (uint64_t& txn : txns) {
+    txn = c.tm("coord").Begin();
+    c.tm("coord").Write(txn, 0, "k" + std::to_string(txn), "v",
+                        [](Status st) { ASSERT_TRUE(st.ok()); });
+    ASSERT_TRUE(c.tm("coord").SendWork(txn, "sub").ok());
+  }
+  c.Drain();
+  auto first = c.StartCommit("coord", txns[0]);
+  auto second = c.StartCommit("coord", txns[1]);
+  c.Drain();
+  ASSERT_TRUE(first->completed && second->completed);
+  EXPECT_EQ(first->result.outcome, Outcome::kCommitted);
+  EXPECT_EQ(second->result.outcome, Outcome::kCommitted);
+  EXPECT_EQ(c.tm("sub").ActiveTxnCount(), 2u);  // both ENDs await the ack
+
+  uint64_t next = c.tm("coord").Begin();
+  ASSERT_TRUE(c.tm("coord").SendWork(next, "sub").ok());
+  c.Drain();
+  c.tm("coord").AbortTxn(next);
+  c.Drain();
+  EXPECT_EQ(c.tm("sub").ActiveTxnCount(), 0u);
+  for (uint64_t txn : txns)
+    EXPECT_EQ(c.tm("sub").CostOf(txn).tm_log_writes, 2u);  // committed, END
+}
+
 // --- Unsolicited vote ---------------------------------------------------------
 
 TEST(UnsolicitedVoteTest, ServerVotesEarlyAndPrepareIsSkipped) {
