@@ -113,14 +113,6 @@ void EncodePaxosBundle(const PaxosBody& body, std::string* out);
 /// bounded. Fields not in the bundle format are cleared on `out`.
 Status DecodePaxosBundle(std::string_view data, PaxosBody* out);
 
-/// Answer carried by kInquiryReply.
-enum class InquiryAnswer : uint8_t {
-  kCommitted,
-  kAborted,
-  kUnknown,  ///< no information (baseline/PN cannot presume; caller blocks)
-  kInDoubt,  ///< responder itself has not resolved the transaction
-};
-
 /// One protocol data unit. A tagged union kept flat for simplicity; only
 /// the fields relevant to `type` are meaningful.
 struct Pdu {
