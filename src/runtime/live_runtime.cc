@@ -24,7 +24,7 @@ TimerId TimerWheel::Arm(sim::Time deadline_us, TimerCallback fn,
   s.fn = std::move(fn);
   s.owner = owner;
   s.deadline = deadline_us;
-  ++s.gen;
+  if (++s.gen == 0) s.gen = 1;  // id 0 means "unarmed" to runtime::Timer
   s.armed = true;
   // Hash by deadline tick; anything already due lands in the next tick's
   // bucket so Advance picks it up on the following pass.

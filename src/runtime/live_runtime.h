@@ -76,7 +76,8 @@ class TimerWheel {
     TimerCallback fn;
     LiveNodeRuntime* owner = nullptr;
     sim::Time deadline = 0;
-    uint32_t gen = 0;   // bumped on every (re)arm; stale ids never cancel
+    uint32_t gen = 0;   // bumped on every (re)arm, skipping 0; stale ids
+                        // never cancel
     bool armed = false;
   };
   struct Entry {

@@ -20,7 +20,8 @@
 //     (the sim event loop, or the node's serialized mailbox).
 //   - CancelTimer(id) returns true iff it prevented the run: a timer is
 //     run exactly once XOR cancelled-true exactly once. Engines rely on
-//     this for their armed-flag discipline (TPC_CHECK(Cancel(...))).
+//     this for their Timer discipline (TPC_CHECK(timer.Cancel(...))).
+//   - ArmTimer never returns id 0, which Timer reserves for "unarmed".
 //   - NextTxnId() is unique across the cluster sharing the runtime family
 //     (sim: the shared SimContext counter; live: one atomic).
 //
@@ -34,6 +35,7 @@
 #define TPC_RUNTIME_RUNTIME_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -77,6 +79,34 @@ class Runtime {
   /// Cluster-unique transaction ids (global across nodes, as the paper's
   /// transaction identifiers are).
   virtual uint64_t NextTxnId() = 0;
+};
+
+/// One timer an engine arms and cancels. Backends never mint id 0, so the
+/// handle alone says whether the timer is armed.
+class Timer {
+ public:
+  bool armed() const { return id_ != 0; }
+
+  /// Arms `fn` to run `delay` from now. Replaces the handle without
+  /// cancelling it: cancel first if an earlier arming may still be pending.
+  template <typename F>
+  void Arm(Runtime* rt, sim::Time delay, F&& fn) {
+    id_ = rt->ArmTimer(delay, std::forward<F>(fn));
+  }
+
+  /// Called by the running callback: the handle names no pending event.
+  void Fired() { id_ = 0; }
+
+  /// Disarms. True iff this prevented a pending callback from running.
+  bool Cancel(Runtime* rt) {
+    if (id_ == 0) return false;
+    const TimerId id = id_;
+    id_ = 0;
+    return rt->CancelTimer(id);
+  }
+
+ private:
+  TimerId id_ = 0;
 };
 
 }  // namespace tpc::runtime

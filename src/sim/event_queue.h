@@ -45,7 +45,8 @@ constexpr Time kSecond = 1000 * 1000;
 
 /// Handle used to cancel a scheduled event. Encodes (generation, slot) so a
 /// stale handle can never cancel an unrelated later event that reused the
-/// same slab slot.
+/// same slab slot. Never 0: generation 0 is skipped when it wraps, so id 0
+/// can mean "unarmed" (runtime::Timer).
 using EventId = uint64_t;
 
 /// The simulation event loop.
@@ -68,7 +69,7 @@ class EventQueue {
     TPC_CHECK(at >= now_);
     const uint32_t slot = AllocSlot();
     Slot& s = slots_[slot];
-    ++s.gen;
+    if (++s.gen == 0) s.gen = 1;
     s.fn.emplace(std::forward<F>(fn));
     s.armed = true;
     ++live_;
@@ -116,7 +117,7 @@ class EventQueue {
 
   struct Slot {
     Callback fn;
-    uint32_t gen = 0;    // bumped on every (re)allocation of the slot
+    uint32_t gen = 0;    // bumped on every (re)allocation; never 0 once used
     bool armed = false;  // scheduled and not cancelled
   };
 

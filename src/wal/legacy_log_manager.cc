@@ -77,22 +77,21 @@ void LegacyLogManager::RequestForce(AppendCallback done) {
     Flush();
     return;
   }
-  if (!group_timer_armed_) {
-    group_timer_armed_ = true;
+  if (group_timer_ == 0) {
     const uint64_t epoch = epoch_;
     group_timer_ = ctx_->events().ScheduleAfter(group_.group_timeout,
                                                 [this, epoch] {
       if (epoch != epoch_) return;
-      group_timer_armed_ = false;
+      group_timer_ = 0;
       if (pending_force_requests_ > 0) Flush();
     });
   }
 }
 
 void LegacyLogManager::Flush() {
-  if (group_timer_armed_) {
+  if (group_timer_ != 0) {
     ctx_->events().Cancel(group_timer_);
-    group_timer_armed_ = false;
+    group_timer_ = 0;
   }
   pending_force_requests_ = 0;
   std::vector<AppendCallback> callbacks = std::move(pending_force_);
@@ -113,9 +112,9 @@ void LegacyLogManager::Crash() {
   buffer_.clear();
   pending_force_.clear();
   pending_force_requests_ = 0;
-  if (group_timer_armed_) {
+  if (group_timer_ != 0) {
     ctx_->events().Cancel(group_timer_);
-    group_timer_armed_ = false;
+    group_timer_ = 0;
   }
   storage_.Crash();
   next_lsn_ = storage_.durable_bytes();

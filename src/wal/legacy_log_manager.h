@@ -67,8 +67,7 @@ class LegacyLogManager {
   Lsn next_lsn_ = 0;
   std::vector<AppendCallback> pending_force_;
   uint32_t pending_force_requests_ = 0;
-  sim::EventId group_timer_ = 0;
-  bool group_timer_armed_ = false;
+  sim::EventId group_timer_ = 0;  ///< 0 = unarmed (the kernel never mints 0)
   uint64_t epoch_ = 0;
 
   LogWriteStats stats_;

@@ -152,13 +152,11 @@ void LogManager::RequestForce(AppendCallback done) {
     case FlushPolicy::kCountTimer:
       if (pending_force_requests_ >= group_.group_size) {
         Flush();
-      } else if (!group_timer_armed_) {
-        group_timer_armed_ = true;
+      } else if (!group_timer_.armed()) {
         const uint64_t epoch = epoch_;
-        group_timer_ =
-            rt_->ArmTimer(group_.group_timeout, [this, epoch] {
+        group_timer_.Arm(rt_, group_.group_timeout, [this, epoch] {
           if (epoch != epoch_) return;
-          group_timer_armed_ = false;
+          group_timer_.Fired();
           if (pending_force_requests_ == 0) return;
           if (CrashHere(WalCrashPt::kBeforeFlushSubmit)) return;
           Flush();
@@ -177,7 +175,7 @@ void LogManager::RequestForce(AppendCallback done) {
     case FlushPolicy::kWiloSteal:
       if (pending_force_requests_ >= group_.group_size) {
         ScheduleWake(/*steal=*/false);
-      } else if (!wake_armed_) {
+      } else if (!wake_.armed()) {
         ArmDaemonTimer();
       }
       break;
@@ -185,11 +183,8 @@ void LogManager::RequestForce(AppendCallback done) {
 }
 
 void LogManager::Flush() {
-  if (group_timer_armed_) {
-    // An armed flag must always name a live pending event.
-    TPC_CHECK(rt_->CancelTimer(group_timer_));
-    group_timer_armed_ = false;
-  }
+  // An armed timer must always name a live pending event.
+  if (group_timer_.armed()) TPC_CHECK(group_timer_.Cancel(rt_));
   std::string bytes = std::move(buffer_);
   buffer_ = TakeSpareBuffer();
   SubmitWrite(std::move(bytes));
@@ -243,36 +238,30 @@ void LogManager::OnFlushSlotFree() {
 }
 
 void LogManager::ArmDaemonTimer() {
-  if (daemon_timer_armed_) return;
-  daemon_timer_armed_ = true;
+  if (daemon_timer_.armed()) return;
   const uint64_t epoch = epoch_;
-  daemon_timer_ =
-      rt_->ArmTimer(group_.daemon_interval, [this, epoch] {
+  daemon_timer_.Arm(rt_, group_.daemon_interval, [this, epoch] {
     if (epoch != epoch_) return;
-    daemon_timer_armed_ = false;
+    daemon_timer_.Fired();
     if (pending_force_requests_ == 0 && segments_.empty()) return;
     DaemonGatherAndSubmit(/*steal=*/false);
   });
 }
 
 void LogManager::ScheduleWake(bool steal) {
-  if (wake_armed_) {
+  if (wake_.armed()) {
     wake_is_steal_ = wake_is_steal_ || steal;
     return;
   }
-  if (daemon_timer_armed_) {
-    TPC_CHECK(rt_->CancelTimer(daemon_timer_));
-    daemon_timer_armed_ = false;
-  }
-  wake_armed_ = true;
+  if (daemon_timer_.armed()) TPC_CHECK(daemon_timer_.Cancel(rt_));
   wake_is_steal_ = steal;
   // Zero-delay: the wake runs later this same instant, so the worker that
   // triggered it has fully unwound out of Append before any crash point in
   // the gather path can fire.
   const uint64_t epoch = epoch_;
-  wake_event_ = rt_->ArmTimer(0, [this, epoch] {
+  wake_.Arm(rt_, 0, [this, epoch] {
     if (epoch != epoch_) return;
-    wake_armed_ = false;
+    wake_.Fired();
     DaemonGatherAndSubmit(wake_is_steal_);
   });
 }
@@ -348,23 +337,14 @@ void LogManager::Crash() {
   for (std::string& b : owner_bufs_) b.clear();
   for (size_t& r : owner_read_) r = 0;
   segments_.clear();
-  // Timer hygiene: an armed flag must always name a live pending event, so
-  // each cancel must succeed — a dead EventId here could fire (or alias a
-  // recycled slot) in the next epoch. Timer callbacks clear their armed flag
+  // Timer hygiene: an armed timer must always name a live pending event,
+  // so each cancel must succeed — a dead id here could fire (or alias a
+  // recycled slot) in the next epoch. Timer callbacks mark themselves fired
   // before running any body code, so a crash from inside one never reaches
   // this cancel for the event being executed.
-  if (group_timer_armed_) {
-    TPC_CHECK(rt_->CancelTimer(group_timer_));
-    group_timer_armed_ = false;
-  }
-  if (daemon_timer_armed_) {
-    TPC_CHECK(rt_->CancelTimer(daemon_timer_));
-    daemon_timer_armed_ = false;
-  }
-  if (wake_armed_) {
-    TPC_CHECK(rt_->CancelTimer(wake_event_));
-    wake_armed_ = false;
-  }
+  if (group_timer_.armed()) TPC_CHECK(group_timer_.Cancel(rt_));
+  if (daemon_timer_.armed()) TPC_CHECK(daemon_timer_.Cancel(rt_));
+  if (wake_.armed()) TPC_CHECK(wake_.Cancel(rt_));
   wake_is_steal_ = false;
   flushes_in_flight_ = 0;
   storage_->Crash();

@@ -237,12 +237,9 @@ class LogManager {
   Lsn next_lsn_ = 0;
   std::vector<PendingForce> pending_force_;
   uint32_t pending_force_requests_ = 0;
-  sim::EventId group_timer_ = 0;
-  bool group_timer_armed_ = false;
-  sim::EventId daemon_timer_ = 0;
-  bool daemon_timer_armed_ = false;
-  sim::EventId wake_event_ = 0;
-  bool wake_armed_ = false;
+  runtime::Timer group_timer_;
+  runtime::Timer daemon_timer_;
+  runtime::Timer wake_;  ///< zero-delay daemon wake
   bool wake_is_steal_ = false;
   uint32_t flushes_in_flight_ = 0;
   uint64_t epoch_ = 0;
