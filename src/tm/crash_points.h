@@ -41,12 +41,12 @@ namespace tpc::tm {
   X(kRootAfterPrepareSend, "root.after_prepare_send")                   \
   X(kCascAfterPrepareSend, "casc.after_prepare_send")                   \
   /* last-agent initiator: the deferred vote that delegates the
-     decision (legacy alias: after_prepared_force) */                   \
+     decision */                                                        \
   X(kRootBeforeLaVoteForce, "root.before_la_vote_force")                \
   X(kRootAfterLaVoteForce, "root.after_la_vote_force")                  \
   X(kRootAfterLaVoteSend, "root.after_la_vote_send")                    \
   X(kRootAfterLaRoVoteSend, "root.after_la_ro_vote_send")               \
-  /* commit decision record (legacy alias: after_commit_force) */       \
+  /* commit decision record */                                         \
   X(kRootBeforeCommitForce, "root.before_commit_force")                 \
   X(kRootAfterCommitForce, "root.after_commit_force")                   \
   X(kCascBeforeCommitForce, "casc.before_commit_force")                 \
@@ -84,8 +84,7 @@ namespace tpc::tm {
   /* subordinate: PN join record on first PREPARE */                    \
   X(kSubBeforeJoinWrite, "sub.before_join_write")                       \
   X(kSubAfterJoinWrite, "sub.after_join_write")                         \
-  /* subordinate: prepared force + vote (legacy alias:
-     after_prepared_force) */                                           \
+  /* subordinate: prepared force + vote */                              \
   X(kCascBeforePreparedForce, "casc.before_prepared_force")             \
   X(kCascAfterPreparedForce, "casc.after_prepared_force")               \
   X(kSubBeforePreparedForce, "sub.before_prepared_force")               \

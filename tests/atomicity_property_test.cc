@@ -32,13 +32,13 @@ class CrashMatrixTest
 // Enumerated crash plans: node x instrumented point x occurrence. The
 // occurrence matters for points hit repeatedly (retries).
 const CrashPlan kPlans[] = {
-    {"sub1", "after_prepared_force", 1},
-    {"sub2", "after_prepared_force", 1},
-    {"mid", "after_prepared_force", 1},
-    {"root", "after_commit_force", 1},
-    {"mid", "after_commit_force", 1},
-    {"sub1", "after_commit_force", 1},
-    {"sub2", "after_commit_force", 1},
+    {"sub1", "sub.after_prepared_force", 1},
+    {"sub2", "sub.after_prepared_force", 1},
+    {"mid", "casc.after_prepared_force", 1},
+    {"root", "root.after_commit_force", 1},
+    {"mid", "casc.after_commit_force", 1},
+    {"sub1", "sub.after_commit_force", 1},
+    {"sub2", "sub.after_commit_force", 1},
 };
 
 TEST_P(CrashMatrixTest, SingleCrashNeverViolatesAtomicity) {
@@ -121,7 +121,8 @@ std::string PlanName(
     case ProtocolKind::kOnePhase: name = "OnePhase"; break;
     case ProtocolKind::kOnePhaseLogless: name = "OnePhaseLogless"; break;
   }
-  name += "_" + plan.node + "_" + plan.point;
+  // The node implies the role, so the name keeps the bare point.
+  name += "_" + plan.node + "_" + plan.point.substr(plan.point.find('.') + 1);
   return name;
 }
 

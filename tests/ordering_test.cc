@@ -112,7 +112,7 @@ TEST(DoubleCrashTest, CrashDuringRecoveryStillConverges) {
   ASSERT_TRUE(c.tm("coord").SendWork(txn, "sub").ok());
   c.RunFor(sim::kSecond);
 
-  c.ctx().failures().ArmCrash("coord", "after_commit_force");
+  c.ctx().failures().ArmCrash("coord", "root.after_commit_force");
   auto commit = c.StartCommit("coord", txn);
   c.RunFor(10 * sim::kSecond);
   // First recovery attempt; crash again mid-recovery, twice.
@@ -151,7 +151,7 @@ TEST(DoubleCrashTest, BothSidesCrashRepeatedlyAndConverge) {
   // The coordinator crashes the instant its commit record is durable (the
   // Commit message never leaves); the in-doubt subordinate then crashes
   // too, twice, before anyone recovers fully.
-  c.ctx().failures().ArmCrash("coord", "after_commit_force");
+  c.ctx().failures().ArmCrash("coord", "root.after_commit_force");
   auto commit = c.StartCommit("coord", txn);
   c.RunFor(10 * sim::kSecond);
   ASSERT_FALSE(c.tm("coord").IsUp());

@@ -61,7 +61,7 @@ TEST(IntermediateHeuristicTest, HeuristicAtMidPropagatesToItsSubtree) {
   ASSERT_TRUE(c.tm("root").SendWork(txn, "mid").ok());
   c.RunFor(sim::kSecond);
 
-  c.ctx().failures().ArmCrash("root", "after_commit_force");
+  c.ctx().failures().ArmCrash("root", "root.after_commit_force");
   auto commit = c.StartCommit("root", txn);
   c.RunFor(40 * sim::kSecond);  // mid's heuristic commit fires at +20s
   // The leaf received mid's (heuristic) commit and is done; its data is in.
@@ -317,7 +317,7 @@ TEST(LastAgentRecoveryTest, InitiatorCrashAfterVoteResolvesViaInquiry) {
   // restart the inquiry finds the LA undecided, and the vote... is gone.
   // The LA's own vote-side state never formed, so the inquiry gets the
   // presumed-abort answer once the LA has no transaction).
-  c.ctx().failures().ArmCrash("coord", "after_prepared_force");
+  c.ctx().failures().ArmCrash("coord", "root.after_la_vote_force");
   auto commit = c.StartCommit("coord", txn);
   c.RunFor(2 * sim::kSecond);
   EXPECT_FALSE(commit->completed);

@@ -52,7 +52,7 @@ TEST(RecoveryTest, PaSubordinateCrashInDoubtRecoversCommitViaInquiry) {
 
   // The subordinate crashes right after its prepared record is durable
   // (its YES vote is never sent).
-  c.ctx().failures().ArmCrash("sub", "after_prepared_force");
+  c.ctx().failures().ArmCrash("sub", "sub.after_prepared_force");
   bool completed = false;
   tm::CommitResult result;
   c.tm("coord").Commit(txn, [&](tm::CommitResult r) {
@@ -179,7 +179,7 @@ TEST(RecoveryTest, PaCoordinatorCrashAfterCommitForceResendsOnRestart) {
   c.Connect("coord", "sub");
   uint64_t txn = SetupTwoNodeWork(c);
 
-  c.ctx().failures().ArmCrash("coord", "after_commit_force");
+  c.ctx().failures().ArmCrash("coord", "root.after_commit_force");
   bool completed = false;
   c.tm("coord").Commit(txn, [&](tm::CommitResult) { completed = true; });
   c.RunFor(5 * sim::kSecond);
@@ -292,7 +292,7 @@ HeuristicRun RunHeuristicScenario(ProtocolKind protocol,
 
   // Coordinator crashes right after forcing the commit record: the
   // subordinate is in doubt and the decision is not coming.
-  c.ctx().failures().ArmCrash("coord", "after_commit_force");
+  c.ctx().failures().ArmCrash("coord", "root.after_commit_force");
   c.tm("coord").Commit(run.txn, [&run](tm::CommitResult r) {
     run.completed = true;
     run.result = r;
@@ -350,7 +350,7 @@ TEST(HeuristicTest, HeuristicLocksAreReleased) {
   c.Connect("coord", "sub");
   uint64_t txn = SetupTwoNodeWork(c);
 
-  c.ctx().failures().ArmCrash("coord", "after_commit_force");
+  c.ctx().failures().ArmCrash("coord", "root.after_commit_force");
   c.tm("coord").Commit(txn, [](tm::CommitResult) {});
   c.RunFor(10 * sim::kSecond);
 

@@ -89,7 +89,7 @@ begin t1 coord
 write coord t1 k v
 work t1 coord sub
 run 1s
-crash-at sub after_prepared_force
+crash-at sub sub.after_prepared_force
 commit t1 coord
 run 30s
 restart sub

@@ -124,7 +124,7 @@ DamageRun RunDamageScenario(ProtocolKind protocol) {
   // Mid crashes right after forcing its commit record: the leaf is in
   // doubt, takes its heuristic abort at +20s, and the overall transaction
   // commits when mid recovers and re-drives.
-  c.ctx().failures().ArmCrash("mid", "after_commit_force");
+  c.ctx().failures().ArmCrash("mid", "casc.after_commit_force");
   c.tm("root").Commit(run.txn, [&run](tm::CommitResult r) {
     run.completed = true;
     run.result = r;
@@ -226,7 +226,7 @@ TEST(WaitForOutcomeTest, NonBlockingCommitReturnsPendingAndResolvesLater) {
   c.RunFor(sim::kSecond);
 
   // The sub crashes after committing (its ack never arrives).
-  c.ctx().failures().ArmCrash("sub", "after_commit_force");
+  c.ctx().failures().ArmCrash("sub", "sub.after_commit_force");
   bool completed = false;
   tm::CommitResult result;
   c.tm("root").Commit(txn, [&](tm::CommitResult r) {
@@ -267,7 +267,7 @@ TEST(WaitForOutcomeTest, BlockingModeWaitsForRecovery) {
   ASSERT_TRUE(c.tm("root").SendWork(txn, "sub").ok());
   c.RunFor(sim::kSecond);
 
-  c.ctx().failures().ArmCrash("sub", "after_prepared_force");
+  c.ctx().failures().ArmCrash("sub", "sub.after_prepared_force");
   bool completed = false;
   c.tm("root").Commit(txn, [&](tm::CommitResult) { completed = true; });
   c.RunFor(60 * sim::kSecond);
