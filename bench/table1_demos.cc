@@ -152,7 +152,12 @@ void DemoVoteReliable() {
   // The commit decision never reaches the sub (link drops right after the
   // vote arrives); the sub heuristically aborts against the commit.
   auto commit = c.StartCommit("coord", txn);
-  c.RunFor(7 * sim::kMillisecond);  // vote received, commit not yet delivered
+  // Cut the link the moment the root decides: the vote is in, and the
+  // commit decision is still behind the root's commit force.
+  for (int ms = 0; ms < 1000 &&
+                  c.tm("coord").View(txn).outcome != Outcome::kCommitted;
+       ++ms)
+    c.RunFor(sim::kMillisecond);
   c.network().SetLinkDown("coord", "sub", true);
   c.RunFor(60 * sim::kSecond);
   harness::TxnAudit audit = c.Audit(txn);

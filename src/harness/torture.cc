@@ -531,18 +531,26 @@ TortureResult RunTortureCell(const TortureConfig& config) {
     violation("participants diverged without heuristic damage");
   }
 
-  // Data effects must match each node's recorded outcome.
+  // Data effects must match each node's recorded outcome. A writer that
+  // kept no record of the transaction (kUnknown) is judged against the
+  // decision owner's: losing the record must not lose the effect.
   if (!audit.any_in_doubt) {
+    const tm::Outcome decision = c.tm("c0").View(txn).outcome;
     for (const auto& [n, key] : writers) {
-      const tm::Outcome o = c.tm(n).View(txn).outcome;
+      tm::Outcome o = c.tm(n).View(txn).outcome;
+      std::string basis = "recorded";
+      if (o == tm::Outcome::kUnknown) {
+        o = decision;
+        basis = "forgot a decided";
+      }
       const Result<std::string> value = c.node(n).rm().Peek(key);
       if (tm::CommittedEffects(o)) {
         if (!value.ok() || value.value() != "v")
-          violation("node " + n + " recorded commit but lost " + key);
+          violation("node " + n + " " + basis + " commit but lost " + key);
       } else if (o == tm::Outcome::kAborted ||
                  o == tm::Outcome::kHeuristicAborted) {
         if (value.ok())
-          violation("node " + n + " recorded abort but kept " + key);
+          violation("node " + n + " " + basis + " abort but kept " + key);
       }
     }
     for (const std::string& n : nodes) {

@@ -8,6 +8,8 @@
 //   1. Atomicity: every participant with recorded effects agrees with the
 //      decision owner's outcome — or the disagreement is a *reported*
 //      heuristic-damage event in the trace (unreported damage is a bug).
+//      Each writer's data matches its own recorded outcome; a writer that
+//      kept no record of the transaction is held to the decision owner's.
 //   2. Liveness: no transaction stays in doubt forever, except the
 //      documented basic-2PC blocking window (coordinator crashed before its
 //      decision was durable and holds the only copy — the paper's argument

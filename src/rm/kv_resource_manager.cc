@@ -3,6 +3,7 @@
 #include <memory>
 #include <utility>
 
+#include "runtime/sim_runtime.h"
 #include "tm/crash_points.h"
 #include "util/binary_io.h"
 #include "util/logging.h"
@@ -58,17 +59,20 @@ std::string_view VoteToString(Vote vote) {
 
 KVResourceManager::KVResourceManager(sim::SimContext* ctx, std::string name,
                                      wal::LogManager* log, KVOptions options)
-    : ctx_(ctx),
+    : owned_rt_(std::make_unique<runtime::SimRuntime>(ctx)),
+      rt_(owned_rt_.get()),
+      ctx_(ctx),
       name_(std::move(name)),
       log_(log),
       options_(options),
-      locks_(ctx, name_, options.lock_timeout),
+      locks_(rt_, ctx, name_, options.lock_timeout),
       store_lock_id_(locks_.InternKey(kStoreLock)) {}
 
 KVResourceManager::KVResourceManager(runtime::Runtime* rt,
                                      sim::SimContext* ctx, std::string name,
                                      wal::LogManager* log, KVOptions options)
-    : ctx_(ctx),
+    : rt_(rt),
+      ctx_(ctx),
       name_(std::move(name)),
       log_(log),
       options_(options),
@@ -205,8 +209,7 @@ void KVResourceManager::Prepare(uint64_t txn, VoteCallback done) {
   rec.type = wal::RecordType::kRmPrepared;
   rec.txn = txn;
   rec.owner = name_;
-  const bool force = !options_.shared_log_with_tm;
-  log_->Append(rec, force, [this, done = std::move(done)] {
+  log_->Append(rec, force_prepared_, [this, done = std::move(done)] {
     if (CrashHere(kAfterPreparedLog)) return;
     VoteInfo info;
     info.vote = Vote::kYes;
@@ -236,8 +239,7 @@ void KVResourceManager::Commit(uint64_t txn, DoneCallback done) {
   rec.type = wal::RecordType::kRmCommitted;
   rec.txn = txn;
   rec.owner = name_;
-  const bool force = !options_.shared_log_with_tm;
-  log_->Append(rec, force, [this, txn, done = std::move(done)] {
+  log_->Append(rec, force_committed_, [this, txn, done = std::move(done)] {
     if (CrashHere(kAfterCommittedLog)) return;
     active_.erase(txn);
     locks_.ReleaseAll(txn);
@@ -290,7 +292,7 @@ void KVResourceManager::ApplyUndo(const TxnState& state) {
 void KVResourceManager::Crash() {
   store_.clear();
   active_.clear();
-  locks_ = lock::LockManager(ctx_, name_, options_.lock_timeout);
+  locks_ = lock::LockManager(rt_, ctx_, name_, options_.lock_timeout);
   store_lock_id_ = locks_.InternKey(kStoreLock);
 }
 
@@ -382,7 +384,7 @@ void KVResourceManager::ResolveRecovered(uint64_t txn, bool commit) {
     rec.type = wal::RecordType::kRmCommitted;
     rec.txn = txn;
     rec.owner = name_;
-    log_->Append(rec, !options_.shared_log_with_tm);
+    log_->Append(rec, force_committed_);
   } else {
     wal::LogRecord rec;
     rec.type = wal::RecordType::kRmAborted;

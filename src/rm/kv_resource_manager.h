@@ -3,13 +3,21 @@
 // LogManager, real prepare/commit/abort/recovery.
 //
 // Logging policy (the shared-log optimization, Section 4 "Sharing the Log"):
-// when `shared_log_with_tm` is set, the RM writes its prepared and committed
-// records *non-forced*. This is sound because the records go to the same log
-// the TM forces: the TM's forced prepared/committed records are appended
-// after the RM's and a log force covers every earlier record. Recovery then
-// reasons exactly as the paper describes — a lost RM prepared record implies
-// the TM never voted/committed, a lost RM committed record is re-derivable
-// from the TM's committed record.
+// a standalone RM, or one on a log of its own, forces its prepared and
+// committed records. An RM attached to a TransactionManager that writes into
+// the same LogManager is told so by TransactionManager::AttachRm, and from
+// then on appends both records *non-forced* — the TM's forces cover them:
+//   * prepared: the TM's next force (its prepared record, or the decision
+//     record a coordinator forces) lands after ours, and a log force makes
+//     every earlier record durable. A lost RM prepared record therefore
+//     means the TM never voted and no coordinator can have committed.
+//   * committed: the TM decided before telling us, so a lost RM committed
+//     record is re-derived from the TM's decision at recovery (its forced
+//     decision record, or the in-doubt inquiry its prepared record leads to).
+// The one exception is the prepared record under a family whose presumption
+// row has `prepared_force == false` (logless one-phase): no TM force follows
+// that vote, so the RM's prepared force stays — and the TM's own unforced
+// prepared record rides it. Abort records are never forced either way.
 
 #ifndef TPC_RM_KV_RESOURCE_MANAGER_H_
 #define TPC_RM_KV_RESOURCE_MANAGER_H_
@@ -18,6 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -30,6 +39,10 @@
 #include "util/result.h"
 #include "wal/log_manager.h"
 
+namespace tpc::tm {
+class TransactionManager;
+}  // namespace tpc::tm
+
 namespace tpc::rm {
 
 /// Construction options.
@@ -38,8 +51,6 @@ struct KVOptions {
   bool reliable = false;
   /// Advertised on YES votes: may be suspended / left out of later 2PCs.
   bool ok_to_leave_out = false;
-  /// Shared-log optimization: prepared/committed records are not forced.
-  bool shared_log_with_tm = false;
   /// Lock-wait deadlock timeout.
   sim::Time lock_timeout = 10 * sim::kSecond;
 };
@@ -50,10 +61,9 @@ class KVResourceManager : public ResourceManager {
   using ReadCallback = std::function<void(Result<std::string>)>;
   using WriteCallback = std::function<void(Status)>;
 
-  /// `log` is the node's WAL (shared with the TM when the shared-log
-  /// optimization is on, which is also the common single-log deployment).
-  /// The sim-path compatibility constructor builds the lock manager on a
-  /// SimRuntime over `ctx`.
+  /// `log` is the node's WAL (in the common single-log deployment, the
+  /// TM's own, which AttachRm detects). The sim-path compatibility
+  /// constructor runs the lock manager on a SimRuntime over `ctx`.
   KVResourceManager(sim::SimContext* ctx, std::string name,
                     wal::LogManager* log, KVOptions options = {});
 
@@ -165,10 +175,18 @@ class KVResourceManager : public ResourceManager {
   /// any callback. `point` indexes tm::kRmCrashPoints.
   bool CrashHere(size_t point);
 
+  std::unique_ptr<runtime::Runtime> owned_rt_;  ///< compat-ctor SimRuntime
+  /// Drives the lock manager; Crash() rebuilds the lock table on it.
+  runtime::Runtime* rt_;
   sim::SimContext* ctx_;
   std::string name_;
   wal::LogManager* log_;
   KVOptions options_;
+  // The forces a TM writing into our log makes redundant (see the header
+  // comment). Only TransactionManager::AttachRm clears them.
+  friend class tm::TransactionManager;
+  bool force_prepared_ = true;
+  bool force_committed_ = true;
   lock::LockManager locks_;
   lock::KeyId store_lock_id_;  ///< interned once; refreshed on Crash()
   // Transparent comparator: lookups by string_view probe without building a

@@ -159,8 +159,9 @@ inline const char* CrashPointName(CrashPt p) {
 
 // Resource-manager crash points, interned by KVResourceManager when the
 // harness enables node-level crash injection. `*_log` rather than `*_force`:
-// under the shared-log optimization prepared/committed records ride the
-// host TM's forces and are appended non-forced.
+// an RM writing into its TM's own log appends its prepared and committed
+// records non-forced (they ride the TM's forces; see kv_resource_manager.h),
+// and only a standalone RM, or the logless family's prepared record, forces.
 inline constexpr const char* kRmCrashPoints[] = {
     "rm.before_prepared_log", "rm.after_prepared_log",
     "rm.before_committed_log", "rm.after_committed_log",

@@ -101,6 +101,15 @@ void TransactionManager::Init() {
 
 void TransactionManager::AttachRm(rm::KVResourceManager* rm) {
   rms_.push_back(rm);
+  // Sharing the log (Section 4): an RM writing into our own log needs no
+  // force our forces already give it. Its committed record follows our
+  // decision; its prepared record precedes the force that makes our vote
+  // or decision durable — unless this family votes without a prepared
+  // force (logless one-phase), where the RM's prepared force is the one.
+  if (rm->log_ == log_) {
+    rm->force_committed_ = false;
+    rm->force_prepared_ = !rules_.prepared_force;
+  }
 }
 
 void TransactionManager::Connect(const net::NodeId& peer,
@@ -281,6 +290,15 @@ std::string TransactionManager::DecisionBody(const Txn& txn, bool is_root) {
   return EncodeBody(body);
 }
 
+std::string TransactionManager::PreparedBody(const Txn& txn) const {
+  TmRecordBody body;
+  body.upstream = txn.upstream;
+  for (const auto& c : txn.children)
+    if (!(c.voted && c.vote == rm::Vote::kReadOnly && config_.read_only_opt))
+      body.children.push_back(c.peer);
+  return EncodeBody(body);
+}
+
 // ---------------------------------------------------------------------------
 // Application interface
 // ---------------------------------------------------------------------------
@@ -332,6 +350,22 @@ void TransactionManager::Write(uint64_t txn, size_t rm_index,
 
 void TransactionManager::Commit(uint64_t txn_id, CommitCallback done) {
   TPC_CHECK(up_);
+  const TxnMeta* meta = FindMeta(txn_id);
+  if (meta != nullptr && meta->slot == kNoSlot && meta->has_view) {
+    // The transaction already ended here without the application: an
+    // inquiry (or a stray decision) found it still active, aborted its work
+    // and forgot it. Report that verdict; starting a fresh, empty
+    // transaction under the same id would "commit" nothing.
+    CommitResult result;
+    result.outcome = meta->view.outcome;
+    result.heuristic_damage = meta->view.damage_reported_here;
+    ctx_->trace().Add(
+        {rt_->Now(), sim::TraceKind::kState, name_, "", txn_id,
+         StringPrintf("commit complete (%s, already ended)",
+                      std::string(OutcomeToString(result.outcome)).c_str())});
+    done(result);
+    return;
+  }
   Txn& txn = GetOrCreateTxn(txn_id);
   TPC_CHECK(txn.phase == Phase::kActive);
   txn.is_root = true;
@@ -543,6 +577,18 @@ void TransactionManager::PrepareLocalRms(Txn& txn) {
   if (rms_.empty()) {
     MaybePhaseOneComplete(txn);
     return;
+  }
+  if (txn.has_upstream && !rules_.prepared_force &&
+      std::any_of(rms_.begin(), rms_.end(),
+                  [id](const rm::KVResourceManager* rm) {
+                    return rm->HasUpdates(id);
+                  })) {
+    // Logless vote: no TM force precedes the YES. Our prepared record goes
+    // in unforced right before the RM's forced prepared record, so that
+    // force covers both and recovery finds the promise (and the upstream
+    // to ask) instead of presuming abort under a committing coordinator.
+    AppendTmRecord(id, wal::RecordType::kTmPrepared, /*force=*/false,
+                   PreparedBody(txn), nullptr);
   }
   const uint64_t epoch = epoch_;
   for (auto* rm : rms_) {
@@ -1329,13 +1375,14 @@ void TransactionManager::SendVote(Txn& txn) {
     ArmInquiryTimer(*t);
   };
 
-  if (!rules_.prepared_force) {
-    // Logless variant: no prepared force at all — the promise exists only
-    // in the coordinator's decision record and the RM's own log. A crash
-    // here forgets the YES; the txn still converges because a committing
-    // coordinator redrives its unacked decision and the RM log supplies
-    // the redo, while an undelivered vote dies with the session and the
-    // coordinator aborts. See DESIGN.md section 11.2.
+  if (!rules_.prepared_force && txn.local_updates) {
+    // Logless variant: no TM force of its own. PrepareLocalRms appended
+    // our prepared record unforced just before the RM's forced prepared
+    // record, so that one force already made the YES durable: a crash
+    // from here on recovers in doubt and inquires. A cascaded subordinate
+    // with no local updates has no RM force to ride; it forces its record
+    // below, or a crash would forget the children it must tell.
+    // See DESIGN.md 11.2.
     send_yes();
     return;
   }
@@ -1343,15 +1390,10 @@ void TransactionManager::SendVote(Txn& txn) {
   if (CrashHere(SubPt(txn, CrashPt::kCascBeforePreparedForce,
                       CrashPt::kSubBeforePreparedForce)))
     return;
-  TmRecordBody body;
-  body.upstream = txn.upstream;
-  for (const auto& c : txn.children)
-    if (!(c.voted && c.vote == rm::Vote::kReadOnly && config_.read_only_opt))
-      body.children.push_back(c.peer);
   const CrashPt after_force = SubPt(txn, CrashPt::kCascAfterPreparedForce,
                                     CrashPt::kSubAfterPreparedForce);
   AppendTmRecord(id, wal::RecordType::kTmPrepared,
-                 /*force=*/!ForceDowngraded(), EncodeBody(body),
+                 /*force=*/!ForceDowngraded(), PreparedBody(txn),
                  [this, after_force, send_yes] {
     if (CrashHere(after_force)) return;
     send_yes();
@@ -2952,9 +2994,11 @@ void TransactionManager::RecoverFromLog() {
     }
   }
 
-  // RM in-doubt transactions with no TM record at all: the TM never voted
-  // (the RM's prepared force preceded the TM's), so no coordinator can have
-  // committed — abort by presumption, which is safe under every protocol.
+  // RM in-doubt transactions with no TM record at all: the TM never voted,
+  // since a YES leaves only after the TM's prepared record is durable (under
+  // logless one-phase, by riding the RM's own prepared force). So no
+  // coordinator can have committed — abort by presumption, which is safe
+  // under every protocol.
   for (size_t i = 0; i < rms_.size(); ++i) {
     for (uint64_t id : rm_in_doubt[i]) {
       if (images.count(id)) continue;

@@ -416,6 +416,9 @@ class TransactionManager : public net::Endpoint {
   /// Body of a collecting or decision record: our upstream (if any) and
   /// every child still in phase two — whom recovery must reach.
   static std::string DecisionBody(const Txn& txn, bool is_root);
+  /// Body of a subordinate's prepared record: our upstream and every child
+  /// that did not vote read-only.
+  std::string PreparedBody(const Txn& txn) const;
   bool ForceDowngraded() const { return config_.shared_log_with_host; }
   /// The presumption-table rule for a commit or an abort decision.
   const DecisionRule& RuleFor(bool commit) const {

@@ -1,10 +1,17 @@
 // KV resource manager: transactional reads/writes, undo/redo, votes,
 // crash recovery, in-doubt resolution.
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "net/network.h"
 #include "rm/kv_resource_manager.h"
+#include "runtime/sim_runtime.h"
 #include "sim/sim_context.h"
+#include "tm/transaction_manager.h"
 #include "wal/log_manager.h"
 
 namespace tpc::rm {
@@ -218,24 +225,114 @@ TEST_F(KvRmTest, EndReadOnlyReleasesLocks) {
   EXPECT_TRUE(granted);
 }
 
-TEST_F(KvRmTest, SharedLogOptionSkipsForces) {
-  KVOptions options;
-  options.shared_log_with_tm = true;
-  KVResourceManager shared_rm(&ctx_, "node.rm1", &log_, options);
-  bool done = false;
-  shared_rm.Write(1, "k", "v", [&](Status st) {
-    ASSERT_TRUE(st.ok());
-    done = true;
-  });
+// Sharing the log is derived, not configured: AttachRm tells an RM that
+// writes into the TM's own log that the TM's forces cover its records.
+class SharedLogRmTest : public KvRmTest {
+ protected:
+  SharedLogRmTest() : network_(&ctx_) {}
+
+  /// Runs one update transaction through `rm`; returns the forced writes
+  /// its prepared and committed records cost.
+  uint64_t ForcesOfOneCommit(KVResourceManager& rm) {
+    const uint64_t before = log_.StatsForOwner(rm.name()).forced_writes;
+    bool wrote = false;
+    rm.Write(7, "k", "v", [&](Status st) { wrote = st.ok(); });
+    ctx_.events().Run();
+    EXPECT_TRUE(wrote);
+    Vote vote = Vote::kNo;
+    rm.Prepare(7, [&](VoteInfo info) { vote = info.vote; });
+    ctx_.events().Run();
+    EXPECT_EQ(vote, Vote::kYes);
+    bool committed = false;
+    rm.Commit(7, [&](Status st) { committed = st.ok(); });
+    ctx_.events().Run();
+    EXPECT_TRUE(committed);
+    EXPECT_EQ(rm.Peek("k").value_or(""), "v");
+    return log_.StatsForOwner(rm.name()).forced_writes - before;
+  }
+
+  tm::TransactionManager& Tm(wal::LogManager* log, tm::ProtocolKind kind) {
+    tm::TmConfig config;
+    config.protocol = kind;
+    tms_.push_back(std::make_unique<tm::TransactionManager>(
+        &ctx_, &network_, log, "tm" + std::to_string(tms_.size()), config));
+    return *tms_.back();
+  }
+
+  net::Network network_;
+  std::vector<std::unique_ptr<tm::TransactionManager>> tms_;
+};
+
+TEST_F(SharedLogRmTest, RmOnItsTmsLogSkipsItsForces) {
+  KVResourceManager shared_rm(&ctx_, "node.rm1", &log_);
+  Tm(&log_, tm::ProtocolKind::kPresumedAbort).AttachRm(&shared_rm);
+  EXPECT_EQ(ForcesOfOneCommit(shared_rm), 0u);
+  EXPECT_GE(log_.StatsForOwner("node.rm1").writes, 3u);  // update, prepared,
+                                                          // committed
+}
+
+TEST_F(SharedLogRmTest, StandaloneOrForeignLogRmKeepsItsForces) {
+  EXPECT_EQ(ForcesOfOneCommit(rm_), 2u);  // no TM at all
+
+  wal::LogManager tm_log(&ctx_, "other");
+  KVResourceManager foreign_rm(&ctx_, "node.rm1", &log_);
+  Tm(&tm_log, tm::ProtocolKind::kPresumedAbort).AttachRm(&foreign_rm);
+  EXPECT_EQ(ForcesOfOneCommit(foreign_rm), 2u);
+}
+
+TEST_F(SharedLogRmTest, LoglessFamilyKeepsOnlyThePreparedForce) {
+  // No TM force follows a logless one-phase vote: the RM's prepared force
+  // is the one that makes it durable. The committed record still rides.
+  KVResourceManager logless_rm(&ctx_, "node.rm1", &log_);
+  Tm(&log_, tm::ProtocolKind::kOnePhaseLogless).AttachRm(&logless_rm);
+  EXPECT_EQ(ForcesOfOneCommit(logless_rm), 1u);
+}
+
+TEST_F(SharedLogRmTest, ResolvedRecoveredCommitRidesTheTmsForces) {
+  KVResourceManager shared_rm(&ctx_, "node.rm1", &log_);
+  Tm(&log_, tm::ProtocolKind::kPresumedAbort).AttachRm(&shared_rm);
+  bool wrote = false;
+  shared_rm.Write(9, "k", "v", [&](Status st) { wrote = st.ok(); });
+  shared_rm.Prepare(9, [](VoteInfo) {});
+  bool forced = false;
+  log_.ForceAll([&] { forced = true; });  // a TM force covers the prepare
   ctx_.events().Run();
-  ASSERT_TRUE(done);
-  shared_rm.Prepare(1, [](VoteInfo) {});
-  bool committed = false;
-  shared_rm.Commit(1, [&](Status) { committed = true; });
-  ctx_.events().Run();
-  EXPECT_TRUE(committed);
+  ASSERT_TRUE(wrote && forced);
+
+  shared_rm.Crash();
+  log_.Crash();
+  ASSERT_EQ(shared_rm.Recover(log_.Recover()), std::vector<uint64_t>{9});
+  shared_rm.ResolveRecovered(9, /*commit=*/true);
   EXPECT_EQ(log_.StatsForOwner("node.rm1").forced_writes, 0u);
-  EXPECT_GE(log_.StatsForOwner("node.rm1").writes, 3u);
+  EXPECT_EQ(shared_rm.Peek("k").value_or(""), "v");
+}
+
+// Crash() rebuilds the lock table on the runtime the RM was built with, not
+// on a fresh adapter over its context: a live node's RM runs on the node's
+// mailbox runtime, whose timers the context's event queue never sees.
+TEST_F(KvRmTest, CrashKeepsTheLockManagerOnItsRuntime) {
+  sim::SimContext timers;  // stands in for a runtime distinct from ctx_
+  runtime::SimRuntime rt(&timers);
+  KVOptions options;
+  options.lock_timeout = 50 * sim::kMillisecond;
+  KVResourceManager rm(&rt, &ctx_, "node.rm1", &log_, options);
+  rm.Crash();
+
+  bool first = false;
+  rm.Write(1, "k", "v1", [&](Status st) { first = st.ok(); });
+  ASSERT_TRUE(first);  // granted at once: the table is empty
+  Status second = Status::OK();
+  bool second_done = false;
+  rm.Write(2, "k", "v2", [&](Status st) {
+    second = st;
+    second_done = true;
+  });
+  ASSERT_FALSE(second_done);  // waits behind txn 1
+  EXPECT_EQ(ctx_.events().pending(), 0u);
+  EXPECT_EQ(timers.events().pending(), 1u);  // the wait's timeout
+  timers.events().Run();
+  ASSERT_TRUE(second_done);
+  EXPECT_TRUE(second.IsTimedOut()) << second.ToString();
 }
 
 }  // namespace

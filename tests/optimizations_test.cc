@@ -219,6 +219,11 @@ TEST(LastAgentOptTest, OneFlowAcksEveryDecisionSentOnTheSession) {
   NodeOptions options = PaOptions();
   options.tm.last_agent_opt = true;
   c.AddNode("coord", options);
+  // The coordinator's two votes leave one log force apart. The last agent's
+  // slower log keeps its first decision in its commit force until the
+  // second vote has arrived, so that vote cannot serve as the first
+  // decision's implied ack and both decisions cross the session unacked.
+  options.log_force_latency = 10 * sim::kMillisecond;
   c.AddNode("sub", options);
   c.Connect("coord", "sub");
   c.tm("sub").SetAppDataHandler(
@@ -463,9 +468,10 @@ TEST(LongLocksTest, AckPiggybacksOnNextTransactionData) {
 // --- Shared log ------------------------------------------------------------------
 
 TEST(SharedLogTest, RmSharingTmLogSkipsItsForces) {
+  // Every cluster node hands its RMs the TM's own log, so the TM's forces
+  // cover the RM's records without any option.
   Cluster c;
   NodeOptions options = PaOptions();
-  options.rm_options.shared_log_with_tm = true;
   c.AddNode("coord", options);
   c.AddNode("sub", options);
   c.Connect("coord", "sub");

@@ -535,6 +535,64 @@ TEST(OnePhaseTest, LoglessVariantSkipsThePreparedForce) {
   EXPECT_EQ(logless.flows_sent, with_log.flows_sent);
 }
 
+// A subordinate whose early vote waits past its inquiry delay asks the root,
+// which has not begun commit processing: the root aborts its work, answers
+// "aborted" and forgets the transaction. The application's later Commit must
+// report that abort, not commit a fresh, empty transaction under the id.
+TEST(OnePhaseTest, CommitAfterAnInquiryAbortReportsTheAbort) {
+  OnePhaseCluster f(ProtocolKind::kOnePhase);
+  f.StartWorkload();
+  f.c.RunFor(20 * sim::kSecond);  // past s1's 15 s inquiry delay
+  ASSERT_EQ(f.c.tm("c0").View(f.txn).outcome, tm::Outcome::kAborted);
+  ASSERT_FALSE(f.c.tm("c0").Knows(f.txn));
+  const DrivenCommit r = f.c.CommitAndWait("c0", f.txn, 60 * sim::kSecond);
+  ASSERT_TRUE(r.completed);
+  EXPECT_EQ(r.result.outcome, tm::Outcome::kAborted);
+  EXPECT_FALSE(f.c.tm("c0").Knows(f.txn));
+  EXPECT_FALSE(f.c.node("c0").rm().Peek("k_c0").ok());
+  EXPECT_FALSE(f.c.node("s1").rm().Peek("k_s1").ok());
+}
+
+// A logless cascaded subordinate that writes nothing itself has no RM
+// prepared force to carry its record, so it forces one: otherwise a crash
+// right after its YES forgets the child it must pass the decision to, and
+// the child's inquiry is answered "aborted" by presumption while the root
+// commits.
+TEST(OnePhaseTest, LoglessRelayWithoutUpdatesRemembersItsChild) {
+  Cluster c{1};
+  NodeOptions options;
+  options.tm.protocol = ProtocolKind::kOnePhaseLogless;
+  options.tm.vote_timeout = 5 * sim::kSecond;
+  options.tm.ack_timeout = 3 * sim::kSecond;
+  options.tm.inquiry_delay = 4 * sim::kSecond;
+  for (const char* n : {"c0", "m1", "s2"}) c.AddNode(n, options);
+  c.Connect("c0", "m1");
+  c.Connect("m1", "s2");
+  c.tm("m1").SetAppDataHandler(
+      [&c](uint64_t t, const net::NodeId&, std::string_view) {
+        (void)c.tm("m1").SendWork(t, "s2");  // relays, writes nothing
+      });
+  c.tm("s2").SetAppDataHandler(
+      [&c](uint64_t t, const net::NodeId&, std::string_view) {
+        c.tm("s2").Write(t, 0, "k_s2", "v", [](Status) {});
+      });
+  c.ctx().failures().ArmCrash("m1", "sub.after_unsolicited_vote_send", 1,
+                              sim::FailureInjector::kAnyEpoch);
+  const uint64_t txn = c.tm("c0").Begin();
+  c.tm("c0").Write(txn, 0, "k_c0", "v", [](Status) {});
+  (void)c.tm("c0").SendWork(txn, "m1");
+  c.RunFor(sim::kSecond);
+  ASSERT_FALSE(c.tm("m1").IsUp()) << "m1 should have died after its YES";
+  c.node("m1").Restart();
+  const DrivenCommit r = c.CommitAndWait("c0", txn, 60 * sim::kSecond);
+  c.RunFor(60 * sim::kSecond);
+  ASSERT_TRUE(r.completed);
+  EXPECT_EQ(r.result.outcome, tm::Outcome::kCommitted);
+  EXPECT_EQ(c.tm("s2").View(txn).outcome, tm::Outcome::kCommitted);
+  EXPECT_EQ(c.node("s2").rm().Peek("k_s2").value_or(""), "v");
+  EXPECT_EQ(c.tm("m1").CostOf(txn).tm_log_forced, 2u);  // prepared, commit
+}
+
 // The prepare constraint: once the early prepare fires, the transaction's
 // write window is closed — further writes are rejected, they can no longer
 // be covered by the (already-sent) YES vote.

@@ -229,7 +229,6 @@ TEST(SharedLogCrashTest, UnforcedRmRecordsRecoverViaTmForceOrdering) {
   // data survives even though the RM forced nothing itself.
   Cluster c;
   NodeOptions options = Options(ProtocolKind::kPresumedAbort);
-  options.rm_options.shared_log_with_tm = true;
   c.AddNode("coord", options);
   c.AddNode("sub", options);
   c.Connect("coord", "sub");

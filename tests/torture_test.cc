@@ -60,10 +60,10 @@ bool AnyViolationContains(const TortureResult& r, const std::string& needle) {
 
 TEST(TortureCampaign, FullCrashPointMatrix) {
   const bool smoke = Level() == "smoke";
-  std::set<std::string> smoke_scenarios = {"basic_pair", "pa_pair", "pa_la_ro",
-                                           "pn_pair", "pa_gc_pipe",
-                                           "pn_gc_wilo", "paxos_flat",
-                                           "paxos_f0", "onephase_pair"};
+  std::set<std::string> smoke_scenarios = {
+      "basic_pair", "pa_pair", "pa_la_ro", "pn_pair",
+      "pa_gc_pipe", "pn_gc_wilo", "paxos_flat", "paxos_f0",
+      "onephase_pair", "onephase_logless"};
 
   std::set<std::string> fired_points;     // distinct point names that fired
   std::set<std::string> fired_protocols;  // protocol configs they fired under
@@ -383,6 +383,26 @@ TEST(TortureCampaign, LossyLinks) {
   for (const std::string& v : r2.violations) ADD_FAILURE() << v;
 }
 
+// Regression: a logless one-phase subordinate that dies after its YES (vote
+// sent, or commit decision received but not yet forced) used to recover
+// with no TM record, presume abort for its prepared RM work and lose k_s1
+// while the coordinator committed. Its prepared record now rides the RM's
+// prepared force, so it recovers in doubt and learns the commit.
+TEST(TortureCampaign, LoglessSubordinateKeepsItsCommittedWrite) {
+  for (const char* line :
+       {"scenario=onephase_logless seed=1 "
+        "crash=s1@sub.after_unsolicited_vote_send occ=1 delay_ms=2000",
+        "scenario=onephase_logless seed=1 "
+        "crash=s1@sub.before_commit_force occ=1 delay_ms=2000"}) {
+    TortureConfig cfg;
+    ASSERT_TRUE(ParseRepro(line, &cfg)) << line;
+    const TortureResult res = RunTortureCell(cfg);
+    EXPECT_TRUE(res.crash_fired) << line;
+    EXPECT_TRUE(res.committed) << line;
+    for (const std::string& v : res.violations) ADD_FAILURE() << v;
+  }
+}
+
 TEST(TortureCampaign, LinkFlaps) {
   for (const char* sc : {"pa_pair", "pn_chain", "basic_pair"}) {
     TortureConfig cfg = BaseConfig(sc);
@@ -538,6 +558,31 @@ TEST(TortureOracle, CatchesLostCommittedEffect) {
   const TortureResult res = RunTortureCell(cfg);
   EXPECT_TRUE(AnyViolationContains(res, "k_s1"))
       << "oracle missed a lost committed effect";
+}
+
+TEST(TortureOracle, CatchesLostEffectOfAForgottenWriter) {
+  // s1 votes YES and dies with its disk: recovery finds no record at all,
+  // the coordinator's redriven commit is acknowledged from nothing, and
+  // k_s1 is gone. s1 has no outcome of its own to be judged by, so only
+  // the decision owner's committed verdict exposes the lost write.
+  TortureConfig cfg = BaseConfig("pa_pair");
+  cfg.crash_node = "s1";
+  cfg.crash_point = "sub.after_yes_vote_send";
+  cfg.after_build = [](Cluster& c) {
+    Node* s1 = &c.node("s1");
+    c.ctx().failures().RegisterNode(
+        "s1",
+        [s1] {
+          s1->Crash();
+          s1->log().DiscardPrefix(s1->log().durable_lsn());
+        },
+        [s1] { s1->Restart(); });
+  };
+  const TortureResult res = RunTortureCell(cfg);
+  EXPECT_TRUE(res.crash_fired);
+  EXPECT_TRUE(res.committed);
+  EXPECT_TRUE(AnyViolationContains(res, "lost k_s1"))
+      << "oracle missed a forgotten writer's lost committed effect";
 }
 
 TEST(TortureOracle, CatchesLeakedLock) {
