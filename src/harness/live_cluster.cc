@@ -20,7 +20,6 @@ LiveNode::LiveNode(runtime::LiveNodeRuntime* nrt,
 
   wal::FileStorageOptions file_options;
   file_options.sync = cluster_options.file_sync;
-  file_options.floor_us = cluster_options.log_force_floor_us;
   runtime::LiveNodeRuntime* mailbox = nrt_;
   storage_ = std::make_unique<wal::FileStorage>(
       cluster_options.dir + "/" + name_ + ".log",

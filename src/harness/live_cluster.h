@@ -46,9 +46,6 @@ struct LiveClusterOptions {
   std::string dir;
   /// fdatasync each log force (off only for measuring the sync cost).
   bool file_sync = true;
-  /// Per-force wall-clock service floor, microseconds. Restores a realistic
-  /// device cost on filesystems whose fsync is near-free (tmpfs).
-  int64_t log_force_floor_us = 0;
 };
 
 /// Per-node construction options (the live subset of harness::NodeOptions;

@@ -7,7 +7,7 @@
 //   - net::Network (network.h): the deterministic simulated interconnect —
 //     per-link latency/loss/flaps, FIFO sessions, scheduled deliveries on
 //     the sim event loop.
-//   - runtime::LiveTransport (live_runtime.h): real threads — Send enqueues
+//   - runtime::LiveTransport (live_transport.h): real threads — Send enqueues
 //     a delivery task on the destination node's mailbox; OnMessage runs on
 //     the destination's serialized worker context.
 //
@@ -23,6 +23,9 @@
 //   - Send consumes msg.payload on every path (accepted, dropped, rejected).
 //   - Interned ids are dense, stable, and shared across all nodes on the
 //     transport instance.
+//   - New names are interned, and endpoints registered, only during setup,
+//     before the first Send: a live backend then reads its tables without a
+//     lock, and rejects a new name or a registration with a TPC_CHECK.
 
 #ifndef TPC_NET_TRANSPORT_H_
 #define TPC_NET_TRANSPORT_H_

@@ -1,122 +1,191 @@
 #include "runtime/live_transport.h"
 
+#include <bit>
 #include <utility>
 
 #include "util/logging.h"
 
 namespace tpc::runtime {
 
-uint32_t LiveTransport::InternLocked(const net::NodeId& name) {
+namespace {
+
+constexpr uint32_t kNoIndex = net::PayloadRef::kNone;
+
+uint32_t HeadIndex(uint64_t head) { return static_cast<uint32_t>(head); }
+
+uint64_t NextHead(uint64_t head, uint32_t index) {
+  return ((head >> 32) + 1) << 32 | index;
+}
+
+}  // namespace
+
+// The delivery task: the whole message minus its (empty) trace tag, so it
+// fits Task's inline buffer and a delivery allocates nothing.
+struct LiveTransport::Delivery {
+  LiveTransport* transport;
+  net::Endpoint* endpoint;
+  uint64_t txn;
+  uint32_t from;
+  uint32_t to;
+  net::PayloadRef payload;
+  net::MsgKind kind;
+
+  void operator()() const {
+    net::Message msg;
+    msg.from = from;
+    msg.to = to;
+    msg.kind = kind;
+    msg.payload = payload;
+    msg.txn = txn;
+    transport->Deliver(endpoint, msg);
+  }
+};
+
+LiveTransport::~LiveTransport() {
+  for (auto& segment : segments_) delete[] segment.load();
+}
+
+uint32_t LiveTransport::InternId(const net::NodeId& name) {
   auto it = ids_.find(name);
   if (it != ids_.end()) return it->second;
+  TPC_CHECK(!sealed());  // a new name after the first Send
   const uint32_t id = static_cast<uint32_t>(names_.size());
   ids_.emplace(name, id);
   names_.push_back(name);
-  endpoints_.push_back(nullptr);
-  node_rts_.push_back(nullptr);
+  peers_.emplace_back();
   return id;
 }
 
 void LiveTransport::Bind(const net::NodeId& name, LiveNodeRuntime* node) {
   TPC_CHECK(node != nullptr);
-  std::lock_guard<std::mutex> lock(mu_);
-  const uint32_t id = InternLocked(name);
-  TPC_CHECK(node_rts_[id] == nullptr);
-  node_rts_[id] = node;
+  TPC_CHECK(!sealed());
+  Peer& peer = peers_[InternId(name)];
+  TPC_CHECK(peer.mailbox == nullptr);
+  peer.mailbox = node;
 }
 
 void LiveTransport::Register(const net::NodeId& id, net::Endpoint* endpoint) {
   TPC_CHECK(endpoint != nullptr);
-  std::lock_guard<std::mutex> lock(mu_);
-  const uint32_t node = InternLocked(id);
-  TPC_CHECK(endpoints_[node] == nullptr);  // names must be unique
-  TPC_CHECK(node_rts_[node] != nullptr);   // Bind must precede Register
-  endpoints_[node] = endpoint;
-}
-
-uint32_t LiveTransport::InternId(const net::NodeId& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return InternLocked(name);
+  TPC_CHECK(!sealed());
+  Peer& peer = peers_[InternId(id)];
+  TPC_CHECK(peer.endpoint == nullptr);  // names must be unique
+  TPC_CHECK(peer.mailbox != nullptr);   // Bind must precede Register
+  peer.endpoint = endpoint;
 }
 
 uint32_t LiveTransport::IdOf(const net::NodeId& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = ids_.find(name);
   return it == ids_.end() ? kNoId : it->second;
 }
 
 const net::NodeId& LiveTransport::NameOf(uint32_t id) const {
-  std::lock_guard<std::mutex> lock(mu_);
   TPC_CHECK(id < names_.size());
   return names_[id];
 }
 
+LiveTransport::SlotPosition LiveTransport::PositionOf(uint32_t index) {
+  const uint64_t n = uint64_t{index} + kFirstSegment;
+  const int segment = std::bit_width(n) - 1 - kFirstSegmentBits;
+  return {segment, n - (kFirstSegment << segment)};
+}
+
+LiveTransport::PayloadSlot& LiveTransport::Slot(uint32_t index) const {
+  const SlotPosition pos = PositionOf(index);
+  return segments_[pos.segment].load(std::memory_order_acquire)[pos.offset];
+}
+
 net::PayloadRef LiveTransport::AcquirePayload() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!payload_free_.empty()) {
-    const uint32_t idx = payload_free_.back();
-    payload_free_.pop_back();
-    payload_pool_[idx].clear();
-    return net::PayloadRef{idx};
+  uint64_t head = free_head_.load(std::memory_order_acquire);
+  while (HeadIndex(head) != kNoIndex) {
+    PayloadSlot& slot = Slot(HeadIndex(head));
+    const uint32_t next = slot.next.load(std::memory_order_relaxed);
+    if (free_head_.compare_exchange_weak(head, NextHead(head, next),
+                                         std::memory_order_acquire)) {
+      slot.buf.clear();
+      return net::PayloadRef{HeadIndex(head)};
+    }
   }
-  payload_pool_.emplace_back();
-  return net::PayloadRef{static_cast<uint32_t>(payload_pool_.size() - 1)};
+  return GrowPool();
+}
+
+net::PayloadRef LiveTransport::GrowPool() {
+  std::lock_guard<std::mutex> lock(grow_mu_);
+  const uint32_t index = pool_size_.load(std::memory_order_relaxed);
+  TPC_CHECK(index != kNoIndex);
+  const SlotPosition pos = PositionOf(index);
+  if (pos.offset == 0) {
+    segments_[pos.segment].store(
+        new PayloadSlot[kFirstSegment << pos.segment],
+        std::memory_order_release);
+  }
+  pool_size_.store(index + 1, std::memory_order_relaxed);
+  return net::PayloadRef{index};
+}
+
+void LiveTransport::ReleasePayload(net::PayloadRef ref) {
+  if (!ref.valid()) return;
+  PayloadSlot& slot = Slot(ref.index);
+  uint64_t head = free_head_.load(std::memory_order_relaxed);
+  do {
+    slot.next.store(HeadIndex(head), std::memory_order_relaxed);
+  } while (!free_head_.compare_exchange_weak(head, NextHead(head, ref.index),
+                                             std::memory_order_release,
+                                             std::memory_order_relaxed));
 }
 
 std::string& LiveTransport::PayloadBuffer(net::PayloadRef ref) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return payload_pool_[ref.index];  // deque: address stable after unlock
+  return Slot(ref.index).buf;
 }
 
 std::string_view LiveTransport::PayloadView(net::PayloadRef ref) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ref.valid() ? std::string_view(payload_pool_[ref.index])
+  return ref.valid() ? std::string_view(Slot(ref.index).buf)
                      : std::string_view();
 }
 
-void LiveTransport::ReleasePayloadLocked(net::PayloadRef ref) {
-  if (ref.valid()) payload_free_.push_back(ref.index);
+LiveTransport::Stats LiveTransport::stats() const {
+  Stats s;
+  s.messages_sent = counters_.sent.load(std::memory_order_relaxed);
+  s.messages_delivered = counters_.delivered.load(std::memory_order_relaxed);
+  s.messages_dropped = counters_.dropped.load(std::memory_order_relaxed);
+  s.messages_rejected = counters_.rejected.load(std::memory_order_relaxed);
+  s.bytes_sent = counters_.bytes.load(std::memory_order_relaxed);
+  return s;
+}
+
+Status LiveTransport::Reject(const char* what, uint32_t id,
+                             net::PayloadRef payload) {
+  counters_.rejected.fetch_add(1, std::memory_order_relaxed);
+  ReleasePayload(payload);
+  return Status::InvalidArgument(
+      std::string(what) +
+      (id < names_.size() ? names_[id] : "(uninterned id)"));
 }
 
 Status LiveTransport::Send(net::Message msg) {
-  LiveNodeRuntime* dest;
-  uint32_t idx;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const uint32_t from = msg.from;
-    const uint32_t to = msg.to;
-    if (from >= endpoints_.size() || endpoints_[from] == nullptr) {
-      ++stats_.messages_rejected;
-      ReleasePayloadLocked(msg.payload);
-      return Status::InvalidArgument(
-          "unknown sender: " +
-          (from < names_.size() ? names_[from] : "(uninterned id)"));
-    }
-    if (to >= endpoints_.size() || endpoints_[to] == nullptr) {
-      ++stats_.messages_rejected;
-      ReleasePayloadLocked(msg.payload);
-      return Status::InvalidArgument(
-          "unknown destination: " +
-          (to < names_.size() ? names_[to] : "(uninterned id)"));
-    }
-    // IsUp is owned by the node's thread; Send does not probe it. A message
-    // from a node that crashed mid-task is dropped at delivery, like the
-    // sim's deliver-time check.
-    ++stats_.messages_sent;
-    stats_.bytes_sent += msg.payload.valid()
-                             ? payload_pool_[msg.payload.index].size()
-                             : 0;
-    dest = node_rts_[to];
-    if (!slab_free_.empty()) {
-      idx = slab_free_.back();
-      slab_free_.pop_back();
-      slab_[idx] = std::move(msg);
-    } else {
-      idx = static_cast<uint32_t>(slab_.size());
-      slab_.push_back(std::move(msg));
-    }
+  if (!sealed()) sealed_.store(true, std::memory_order_relaxed);
+  if (msg.from >= peers_.size() || peers_[msg.from].endpoint == nullptr)
+    return Reject("unknown sender: ", msg.from, msg.payload);
+  if (msg.to >= peers_.size() || peers_[msg.to].endpoint == nullptr)
+    return Reject("unknown destination: ", msg.to, msg.payload);
+  // IsUp is owned by the node's thread; Send does not probe it. A message
+  // from a node that crashed mid-task is dropped at delivery, like the
+  // sim's deliver-time check.
+  counters_.sent.fetch_add(1, std::memory_order_relaxed);
+  if (msg.payload.valid()) {
+    counters_.bytes.fetch_add(Slot(msg.payload.index).buf.size(),
+                              std::memory_order_relaxed);
   }
-  dest->Post(Task([this, idx] { Deliver(idx); }));
+  const Peer& dest = peers_[msg.to];
+  static_assert(sizeof(Delivery) <= 64, "must fit Task's inline buffer");
+  if (msg.trace_tag.empty()) {
+    dest.mailbox->Post(Task(Delivery{this, dest.endpoint, msg.txn, msg.from,
+                                     msg.to, msg.payload, msg.kind}));
+  } else {
+    net::Endpoint* endpoint = dest.endpoint;
+    dest.mailbox->Post(Task([this, endpoint, m = std::move(msg)] {
+      Deliver(endpoint, m);
+    }));
+  }
   return Status::OK();
 }
 
@@ -134,27 +203,16 @@ Status LiveTransport::SendLegacy(net::LegacyMessage msg) {
   return Send(std::move(out));
 }
 
-void LiveTransport::Deliver(uint32_t slab_index) {
-  net::Message msg;
-  net::Endpoint* endpoint;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    msg = std::move(slab_[slab_index]);
-    slab_free_.push_back(slab_index);
-    endpoint = endpoints_[msg.to];
+void LiveTransport::Deliver(net::Endpoint* endpoint, const net::Message& msg) {
+  // IsUp/OnMessage run on the destination's own serialized context; the
+  // upcall may Send.
+  if (endpoint->IsUp()) {
+    endpoint->OnMessage(msg);
+    counters_.delivered.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    counters_.dropped.fetch_add(1, std::memory_order_relaxed);
   }
-  // IsUp/OnMessage run on the destination's own serialized context, outside
-  // the transport lock — the upcall may Send.
-  if (endpoint == nullptr || !endpoint->IsUp()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.messages_dropped;
-    ReleasePayloadLocked(msg.payload);
-    return;
-  }
-  endpoint->OnMessage(msg);
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.messages_delivered;
-  ReleasePayloadLocked(msg.payload);
+  ReleasePayload(msg.payload);
 }
 
 }  // namespace tpc::runtime

@@ -1,18 +1,26 @@
 // LiveTransport: the real-threads net::Transport backend.
 //
-// Send parks the message in a slab and posts a 16-byte delivery task to the
-// destination node's mailbox, so OnMessage runs on the destination's
-// serialized worker context — the same "delivery is an event on the
-// receiver" shape the simulated Network gives the engines. Per-pair FIFO
-// falls out of construction: a sender posts its deliveries from one thread
-// in Send order, and the destination mailbox preserves post order.
+// Send posts a delivery task to the destination node's mailbox, so
+// OnMessage runs on the destination's serialized worker context — the same
+// "delivery is an event on the receiver" shape the simulated Network gives
+// the engines. The task carries the message itself (ids, kind, payload ref,
+// txn) in Task's inline buffer; only a message with a trace tag takes a
+// heap closure. Per-pair FIFO falls out of construction: a sender posts its
+// deliveries from one thread in Send order, and the destination mailbox
+// preserves post order.
 //
-// One mutex guards all shared state (interning tables, endpoint registry,
-// payload pool, parked-message slab, stats). It is held only for pointer /
-// index manipulation — never across OnMessage, which may itself Send.
-// Payload buffers live in a deque, so the address a sender encodes into
-// stays stable after the lock drops; cross-thread visibility of the bytes
-// rides the destination-mailbox mutex (release on Post, acquire on drain).
+// The steady-state message path takes no transport-wide lock:
+//   - The name, endpoint and mailbox tables are written only during setup
+//     (Bind, Register, interning a new name) and are read without a lock
+//     once the first Send has run. Setup after that point is a TPC_CHECK
+//     failure, so a reader can never see a table move under it.
+//   - Payload buffers live in segments that never move, and their free list
+//     is a lock-free stack, so acquire, view and release are a few atomic
+//     operations. Only growing the pool by one buffer takes a mutex.
+//     Cross-thread visibility of a buffer's bytes rides the
+//     destination-mailbox mutex (release on Post, acquire on drain), and
+//     the free list's release/acquire hands a recycled buffer over.
+//   - Stats are relaxed atomic counters.
 //
 // Crash semantics differ from the sim on purpose: there is no global
 // "messages in flight" list to drop, so a message posted to a crashed node
@@ -22,8 +30,8 @@
 #ifndef TPC_RUNTIME_LIVE_TRANSPORT_H_
 #define TPC_RUNTIME_LIVE_TRANSPORT_H_
 
+#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -46,13 +54,20 @@ class LiveTransport final : public net::Transport {
   };
 
   LiveTransport() = default;
+  ~LiveTransport() override;
+
+  LiveTransport(const LiveTransport&) = delete;
+  LiveTransport& operator=(const LiveTransport&) = delete;
 
   /// Associates `name` with the node runtime whose mailbox receives its
   /// deliveries. Must precede Register(name, ...); setup phase only.
   void Bind(const net::NodeId& name, LiveNodeRuntime* node);
 
+  /// Setup phase only, after Bind(id, ...).
   void Register(const net::NodeId& id, net::Endpoint* endpoint) override;
 
+  /// A new name may be interned only before the first Send; afterwards
+  /// this is a lookup of an existing name.
   uint32_t InternId(const net::NodeId& name) override;
   uint32_t IdOf(const net::NodeId& name) const override;
   const net::NodeId& NameOf(uint32_t id) const override;
@@ -73,26 +88,67 @@ class LiveTransport final : public net::Transport {
 
   bool tracing() const override { return false; }
 
-  Stats stats() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
+  Stats stats() const;
+
+  /// Payload buffers the pool has created (its high-water mark of buffers
+  /// in use at once).
+  uint32_t payload_buffers() const {
+    return pool_size_.load(std::memory_order_relaxed);
   }
 
  private:
-  uint32_t InternLocked(const net::NodeId& name);
-  void Deliver(uint32_t slab_index);
-  void ReleasePayloadLocked(net::PayloadRef ref);
+  struct Peer {
+    net::Endpoint* endpoint = nullptr;
+    LiveNodeRuntime* mailbox = nullptr;
+  };
+  struct PayloadSlot {
+    std::string buf;
+    std::atomic<uint32_t> next{net::PayloadRef::kNone};  ///< free-list link
+  };
+  struct Counters {
+    std::atomic<uint64_t> sent{0};
+    std::atomic<uint64_t> delivered{0};
+    std::atomic<uint64_t> dropped{0};
+    std::atomic<uint64_t> rejected{0};
+    std::atomic<uint64_t> bytes{0};
+  };
+  struct Delivery;
+  /// Where a pool index lives: segment k holds kFirstSegment << k slots and
+  /// starts at index (2^k - 1) * kFirstSegment, so 27 segments cover every
+  /// index below PayloadRef::kNone.
+  struct SlotPosition {
+    int segment;
+    uint64_t offset;
+  };
+  static constexpr int kFirstSegmentBits = 6;
+  static constexpr uint64_t kFirstSegment = uint64_t{1} << kFirstSegmentBits;
+  static constexpr int kSegments = 27;
 
-  mutable std::mutex mu_;
+  /// Whether the first Send has run; the tables are read-only from then on.
+  bool sealed() const { return sealed_.load(std::memory_order_relaxed); }
+  Status Reject(const char* what, uint32_t id, net::PayloadRef payload);
+  void Deliver(net::Endpoint* endpoint, const net::Message& msg);
+
+  static SlotPosition PositionOf(uint32_t index);
+  PayloadSlot& Slot(uint32_t index) const;
+  net::PayloadRef GrowPool();
+  void ReleasePayload(net::PayloadRef ref);
+
+  // Setup-only tables.
   std::unordered_map<net::NodeId, uint32_t> ids_;
   std::vector<net::NodeId> names_;
-  std::vector<net::Endpoint*> endpoints_;
-  std::vector<LiveNodeRuntime*> node_rts_;
-  std::deque<std::string> payload_pool_;  ///< stable addresses
-  std::vector<uint32_t> payload_free_;
-  std::deque<net::Message> slab_;  ///< parked in-flight messages
-  std::vector<uint32_t> slab_free_;
-  Stats stats_;
+  std::vector<Peer> peers_;
+  std::atomic<bool> sealed_{false};
+
+  // Payload pool: fixed segments plus a lock-free free stack whose head
+  // packs the top index (low 32 bits) with a tag bumped by every update,
+  // so a stale head never wins a compare-exchange (ABA).
+  std::atomic<PayloadSlot*> segments_[kSegments] = {};
+  std::atomic<uint64_t> free_head_{net::PayloadRef::kNone};
+  std::atomic<uint32_t> pool_size_{0};
+  std::mutex grow_mu_;
+
+  Counters counters_;
 };
 
 }  // namespace tpc::runtime

@@ -2647,8 +2647,9 @@ void TransactionManager::Forget(Txn& txn) {
   free_slots_.push_back(slot);
 }
 
-void TransactionManager::NoteImpliedAck(const net::NodeId& from) {
-  Session* session = FindSession(from);
+void TransactionManager::NoteImpliedAck(uint32_t from_id,
+                                        const net::NodeId& from) {
+  Session* session = FindSessionById(from_id);
   if (session == nullptr || session->implied_ack_txns.empty()) return;
   // Completing a transaction may grow the session table, so drain a copy.
   const std::vector<uint64_t> ids = std::move(session->implied_ack_txns);
@@ -2698,7 +2699,7 @@ void TransactionManager::OnMessage(const net::Message& msg) {
 
   // Any traffic on a session acts as the implied acknowledgment for a
   // last-agent decision outstanding on it.
-  NoteImpliedAck(from);
+  NoteImpliedAck(msg.from, from);
   PduCursor cursor(payload);
   while (cursor.Next()) DispatchPdu(from, cursor.pdu(), cursor.data());
 }

@@ -609,7 +609,9 @@ class TransactionManager : public net::Endpoint {
   void AbortSubtreeAndForget(uint64_t id);
   void CancelTimers(Txn& txn);
   void Forget(Txn& txn);
-  void NoteImpliedAck(const net::NodeId& from);
+  /// Drains the implied acks awaited on the session with `from` (interned
+  /// as `from_id`).
+  void NoteImpliedAck(uint32_t from_id, const net::NodeId& from);
 
   // --- recovery ----------------------------------------------------------------
   void RecoverFromLog();

@@ -22,8 +22,8 @@
 //
 // An optional service-time floor (`floor_us`) pads each write to a minimum
 // wall-clock duration. On a filesystem whose fsync is microseconds (tmpfs,
-// battery-backed cache) the floor restores a realistic device cost, which
-// the contended live_bench cells rely on.
+// battery-backed cache) the floor restores a realistic device cost; the
+// live runtime tests use it to hold a sync in flight.
 //
 // fdatasync over O_DIRECT: the write path appends variable-length records,
 // so O_DIRECT's alignment contract would force a block-sized staging layer;

@@ -1,6 +1,10 @@
 // Live-backend tests: the same protocol engines on real threads.
 //
 //  - LiveRuntime substrate: mailbox FIFO, timer fire, claim-on-run cancel.
+//  - LiveTransport: unknown peers rejected with their payloads recycled,
+//    a trace-tagged message delivered whole, deliveries to a down endpoint
+//    dropped, per-pair FIFO and a bounded payload pool under four sender
+//    threads, and no new name once the first message went out.
 //  - Deferred log syncs: a node's mailbox runs while its device syncs,
 //    WaitIdle covers syncs in flight, and a crash mid-sync leaves the
 //    durable mirror equal to the file.
@@ -8,7 +12,8 @@
 //    backends produce the same decisions, the same per-node durable
 //    log-record sequences, the same stores, and the same lock-release
 //    behavior (a follow-up writer is granted immediately on both).
-//  - Live smoke: a batch of closed-loop commits completes atomically.
+//  - Live smoke: a batch of closed-loop commits completes atomically, and
+//    so do four contended coordinator/subordinate pairs, one family each.
 //  - Kill-and-recover: stop a cluster, rebuild it on the same directory,
 //    and recover committed effects from the fsync'd files — the proof that
 //    FileStorage's durability claim is real.
@@ -18,6 +23,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -30,6 +36,7 @@
 
 #include "harness/cluster.h"
 #include "harness/live_cluster.h"
+#include "runtime/live_transport.h"
 #include "wal/file_storage.h"
 #include "wal/log_record.h"
 
@@ -87,6 +94,242 @@ TEST(LiveRuntimeTest, MailboxFifoAndTimers) {
   rt.WaitIdle();
   rt.Stop();
   EXPECT_FALSE(ran.load());
+}
+
+// --- live transport ----------------------------------------------------------
+
+// Counts deliveries and, for sequence-numbered payloads, checks that each
+// sender's messages arrive in send order.
+class CheckingEndpoint final : public net::Endpoint {
+ public:
+  CheckingEndpoint(runtime::LiveTransport* transport, size_t senders)
+      : transport_(transport), next_(senders), received_(senders) {}
+
+  void OnMessage(const net::Message& msg) override {
+    ++delivered_;
+    const std::string_view payload = transport_->PayloadOf(msg);
+    last_tag_.assign(msg.TagView());
+    last_payload_.assign(payload);
+    last_txn_ = msg.txn;
+    if (payload.size() != sizeof(uint64_t) || msg.from >= next_.size()) return;
+    uint64_t seq;
+    std::memcpy(&seq, payload.data(), sizeof(seq));
+    if (seq != next_[msg.from]) ++out_of_order_;
+    next_[msg.from] = seq + 1;
+    received_[msg.from].fetch_add(1);
+  }
+  bool IsUp() const override { return up.load(); }
+
+  /// Messages from `sender` delivered so far (any thread).
+  uint64_t received_from(uint32_t sender) const {
+    return received_[sender].load();
+  }
+  // Read these after the runtime went idle.
+  uint64_t delivered() const { return delivered_; }
+  uint64_t out_of_order() const { return out_of_order_; }
+  const std::string& last_tag() const { return last_tag_; }
+  const std::string& last_payload() const { return last_payload_; }
+  uint64_t last_txn() const { return last_txn_; }
+
+  std::atomic<bool> up{true};
+
+ private:
+  runtime::LiveTransport* transport_;
+  std::vector<uint64_t> next_;  ///< next expected sequence number per sender
+  std::vector<std::atomic<uint64_t>> received_;
+  uint64_t delivered_ = 0;
+  uint64_t out_of_order_ = 0;
+  std::string last_tag_;
+  std::string last_payload_;
+  uint64_t last_txn_ = 0;
+};
+
+// Sends `payload` from `from` to `to` in a freshly acquired buffer.
+Status SendBytes(runtime::LiveTransport& transport, uint32_t from, uint32_t to,
+                 std::string_view payload) {
+  net::Message msg;
+  msg.from = from;
+  msg.to = to;
+  msg.payload = transport.AcquirePayload();
+  transport.PayloadBuffer(msg.payload).assign(payload);
+  return transport.Send(std::move(msg));
+}
+
+TEST(LiveTransportTest, RejectsUnknownPeersAndRecyclesTheirPayloads) {
+  runtime::LiveRuntime rt(runtime::LiveOptions{1, 100});
+  runtime::LiveTransport transport;
+  CheckingEndpoint a(&transport, 0), b(&transport, 0);
+  transport.Bind("a", rt.AddNode("a"));
+  transport.Register("a", &a);
+  transport.Bind("b", rt.AddNode("b"));
+  transport.Register("b", &b);
+  const uint32_t ghost = transport.InternId("ghost");  // never registered
+  const uint32_t ida = transport.IdOf("a");
+  const uint32_t idb = transport.IdOf("b");
+  rt.Start();
+
+  for (int i = 0; i < 10; ++i) {
+    Status st = SendBytes(transport, ghost, idb, "x");
+    EXPECT_TRUE(st.IsInvalidArgument());
+    EXPECT_NE(st.ToString().find("unknown sender: ghost"), std::string::npos)
+        << st.ToString();
+    st = SendBytes(transport, ida, net::Transport::kNoId, "x");
+    EXPECT_TRUE(st.IsInvalidArgument());
+    EXPECT_NE(st.ToString().find("unknown destination: (uninterned id)"),
+              std::string::npos)
+        << st.ToString();
+  }
+  // Every rejected message handed its buffer back: one buffer served all 20.
+  EXPECT_EQ(transport.payload_buffers(), 1u);
+  EXPECT_TRUE(SendBytes(transport, ida, idb, "x").ok());
+  rt.WaitIdle();
+  rt.Stop();
+
+  const runtime::LiveTransport::Stats stats = transport.stats();
+  EXPECT_EQ(stats.messages_rejected, 20u);
+  EXPECT_EQ(stats.messages_sent, 1u);
+  EXPECT_EQ(stats.messages_delivered, 1u);
+  EXPECT_EQ(stats.bytes_sent, 1u);
+  EXPECT_EQ(b.delivered(), 1u);
+  EXPECT_EQ(transport.payload_buffers(), 1u);
+}
+
+// A trace-tagged message cannot ride the inline delivery task; it takes
+// the heap-closure path and arrives whole.
+TEST(LiveTransportTest, DeliversATraceTaggedLegacyMessage) {
+  runtime::LiveRuntime rt(runtime::LiveOptions{1, 100});
+  runtime::LiveTransport transport;
+  CheckingEndpoint a(&transport, 0), b(&transport, 0);
+  transport.Bind("a", rt.AddNode("a"));
+  transport.Register("a", &a);
+  transport.Bind("b", rt.AddNode("b"));
+  transport.Register("b", &b);
+  rt.Start();
+
+  net::LegacyMessage msg;
+  msg.from = "a";
+  msg.to = "b";
+  msg.kind = net::MsgKind::kApp;
+  msg.trace_tag = "PREPARE+ACK";
+  msg.payload = "payload";
+  msg.txn = 42;
+  EXPECT_TRUE(transport.SendLegacy(std::move(msg)).ok());
+  rt.WaitIdle();
+  rt.Stop();
+
+  EXPECT_EQ(b.delivered(), 1u);
+  EXPECT_EQ(b.last_tag(), "PREPARE+ACK");
+  EXPECT_EQ(b.last_payload(), "payload");
+  EXPECT_EQ(b.last_txn(), 42u);
+  EXPECT_EQ(transport.stats().bytes_sent, 7u);
+}
+
+TEST(LiveTransportTest, DropsMessagesToADownEndpoint) {
+  runtime::LiveRuntime rt(runtime::LiveOptions{1, 100});
+  runtime::LiveTransport transport;
+  CheckingEndpoint a(&transport, 0), b(&transport, 0);
+  transport.Bind("a", rt.AddNode("a"));
+  transport.Register("a", &a);
+  transport.Bind("b", rt.AddNode("b"));
+  transport.Register("b", &b);
+  b.up = false;
+  rt.Start();
+
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_TRUE(SendBytes(transport, transport.IdOf("a"), transport.IdOf("b"),
+                          "lost")
+                    .ok());
+    rt.WaitIdle();
+  }
+  rt.Stop();
+
+  const runtime::LiveTransport::Stats stats = transport.stats();
+  EXPECT_EQ(stats.messages_sent, 5u);
+  EXPECT_EQ(stats.messages_dropped, 5u);
+  EXPECT_EQ(stats.messages_delivered, 0u);
+  EXPECT_EQ(b.delivered(), 0u);
+  // Each drop released its buffer before the next send acquired one.
+  EXPECT_EQ(transport.payload_buffers(), 1u);
+}
+
+// Four sender threads, each sending sequence-numbered messages to two
+// receivers on a two-worker runtime, with at most kWindow of its messages
+// undelivered at a time.
+TEST(LiveTransportTest, FourSendersKeepPerPairFifoAndABoundedPool) {
+  constexpr uint32_t kSenders = 4;
+  constexpr uint32_t kReceivers = 2;
+  constexpr uint64_t kMessages = 2000;  // per sender
+  constexpr uint64_t kWindow = 8;
+  runtime::LiveRuntime rt(runtime::LiveOptions{2, 100});
+  runtime::LiveTransport transport;
+  std::vector<std::unique_ptr<CheckingEndpoint>> endpoints;
+  std::vector<uint32_t> senders, receivers;
+  for (uint32_t i = 0; i < kSenders + kReceivers; ++i) {
+    const std::string name =
+        i < kSenders ? "s" + std::to_string(i)
+                     : "r" + std::to_string(i - kSenders);
+    endpoints.push_back(std::make_unique<CheckingEndpoint>(
+        &transport, kSenders + kReceivers));
+    transport.Bind(name, rt.AddNode(name));
+    transport.Register(name, endpoints.back().get());
+    (i < kSenders ? senders : receivers).push_back(transport.IdOf(name));
+  }
+  rt.Start();
+
+  std::vector<std::thread> threads;
+  for (uint32_t s = 0; s < kSenders; ++s) {
+    threads.emplace_back([&, s] {
+      const uint32_t from = senders[s];
+      uint64_t seq[kReceivers] = {};
+      for (uint64_t i = 0; i < kMessages; ++i) {
+        for (;;) {
+          uint64_t received = 0;
+          for (uint32_t r = 0; r < kReceivers; ++r)
+            received += endpoints[kSenders + r]->received_from(from);
+          if (i - received < kWindow) break;
+          std::this_thread::yield();
+        }
+        const uint32_t r = static_cast<uint32_t>(i % kReceivers);
+        std::string payload(sizeof(uint64_t), '\0');
+        std::memcpy(payload.data(), &seq[r], sizeof(uint64_t));
+        ++seq[r];
+        EXPECT_TRUE(SendBytes(transport, from, receivers[r], payload).ok());
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  rt.WaitIdle();
+  rt.Stop();
+
+  const runtime::LiveTransport::Stats stats = transport.stats();
+  EXPECT_EQ(stats.messages_sent, kSenders * kMessages);
+  EXPECT_EQ(stats.messages_delivered, stats.messages_sent);
+  EXPECT_EQ(stats.messages_dropped + stats.messages_rejected, 0u);
+  EXPECT_EQ(stats.bytes_sent, kSenders * kMessages * sizeof(uint64_t));
+  uint64_t delivered = 0;
+  for (uint32_t r = 0; r < kReceivers; ++r) {
+    delivered += endpoints[kSenders + r]->delivered();
+    EXPECT_EQ(endpoints[kSenders + r]->out_of_order(), 0u) << "receiver " << r;
+  }
+  EXPECT_EQ(delivered, kSenders * kMessages);
+  // At most kWindow buffers per sender are ever out at once, plus one per
+  // receiver still finishing its upcall.
+  EXPECT_LE(transport.payload_buffers(), kSenders * kWindow + kReceivers);
+}
+
+TEST(LiveTransportDeathTest, NewNameAfterTheFirstSendDies) {
+  runtime::LiveRuntime rt(runtime::LiveOptions{1, 100});  // never started
+  runtime::LiveTransport transport;
+  CheckingEndpoint a(&transport, 0), late(&transport, 0);
+  transport.Bind("a", rt.AddNode("a"));
+  transport.Register("a", &a);
+  const uint32_t ida = transport.IdOf("a");
+  EXPECT_TRUE(SendBytes(transport, ida, ida, "x").ok());
+  // Names interned during setup still resolve.
+  EXPECT_EQ(transport.InternId("a"), ida);
+  EXPECT_EQ(transport.IdOf("late"), net::Transport::kNoId);
+  EXPECT_DEATH(transport.InternId("late"), "CHECK failed");
+  EXPECT_DEATH(transport.Register("late", &late), "CHECK failed");
 }
 
 // --- deferred log syncs ------------------------------------------------------
@@ -470,6 +713,90 @@ TEST(LiveClusterTest, OnePhaseLoglessClosedLoopIsAtomic) {
   RunClosedLoopAtomicity(ProtocolKind::kOnePhaseLogless, "live_1pc_ll", 10);
 }
 
+// Four independent coordinator/subordinate pairs, one protocol family
+// each, one closed-loop client thread per pair, on two and then four
+// workers: the transport, mailboxes, ready queue and timer wheel under
+// contention. Every commit completes, and its writes are present at both
+// ends of its pair.
+TEST(LiveClusterTest, ContendedPairsCommitAtomically) {
+  constexpr int kPairs = 4;
+  constexpr int kTxnsPerPair = 20;
+  std::vector<tm::TmConfig> families(kPairs);
+  families[0].protocol = ProtocolKind::kBasic2PC;
+  families[1].protocol = ProtocolKind::kPresumedAbort;
+  families[2].protocol = ProtocolKind::kPresumedAbort;
+  families[2].last_agent_opt = true;
+  families[3].protocol = ProtocolKind::kPresumedNothing;
+  for (int workers : {2, 4}) {
+    LiveClusterOptions opts;
+    opts.worker_threads = workers;
+    opts.dir = FreshDir("contended_w" + std::to_string(workers));
+    LiveCluster c(opts);
+    for (int p = 0; p < kPairs; ++p) {
+      LiveNodeOptions o;
+      o.tm = families[p];
+      const std::string coord = "c" + std::to_string(p);
+      const std::string sub = "s" + std::to_string(p);
+      c.AddNode(coord, o);
+      c.AddNode(sub, o);
+      c.Connect(coord, sub);
+      c.tm(sub).SetAppDataHandler(
+          [&c, sub](uint64_t txn, const net::NodeId&, std::string_view) {
+            c.tm(sub).Write(txn, 0, "s" + std::to_string(txn), "v",
+                            [](Status st) { EXPECT_TRUE(st.ok()); });
+          });
+    }
+    c.Start();
+
+    std::vector<std::vector<uint64_t>> committed(kPairs);
+    std::vector<std::thread> clients;
+    for (int p = 0; p < kPairs; ++p) {
+      clients.emplace_back([&c, &committed, p] {
+        const std::string coord = "c" + std::to_string(p);
+        const std::string sub = "s" + std::to_string(p);
+        for (int i = 0; i < kTxnsPerPair; ++i) {
+          uint64_t txn = 0;
+          c.RunOn(coord, [&c, &coord, &sub, &txn] {
+            txn = c.tm(coord).Begin();
+            c.tm(coord).Write(txn, 0, "k" + std::to_string(txn), "v",
+                              [](Status st) { EXPECT_TRUE(st.ok()); });
+            EXPECT_TRUE(c.tm(coord).SendWork(txn, sub, "w").ok());
+          });
+          std::promise<tm::CommitResult> done;
+          c.Post(coord, [&c, &coord, txn, &done] {
+            c.tm(coord).Commit(
+                txn, [&done](tm::CommitResult r) { done.set_value(r); });
+          });
+          const tm::CommitResult r = done.get_future().get();
+          EXPECT_EQ(r.outcome, Outcome::kCommitted) << coord << " txn " << txn;
+          EXPECT_FALSE(r.heuristic_damage);
+          if (r.outcome == Outcome::kCommitted) committed[p].push_back(txn);
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+
+    for (int p = 0; p < kPairs; ++p) {
+      EXPECT_EQ(committed[p].size(), static_cast<size_t>(kTxnsPerPair))
+          << "pair " << p << ", " << workers << " workers";
+      const std::string coord = "c" + std::to_string(p);
+      const std::string sub = "s" + std::to_string(p);
+      for (uint64_t txn : committed[p]) {
+        c.RunOn(coord, [&c, &coord, txn] {
+          EXPECT_TRUE(c.node(coord).rm().Peek("k" + std::to_string(txn)).ok())
+              << coord << " lost txn " << txn;
+        });
+        c.RunOn(sub, [&c, &sub, txn] {
+          EXPECT_TRUE(c.node(sub).rm().Peek("s" + std::to_string(txn)).ok())
+              << sub << " lost txn " << txn;
+        });
+      }
+    }
+    c.Stop();
+    std::filesystem::remove_all(opts.dir);
+  }
+}
+
 // --- kill and recover --------------------------------------------------------
 
 TEST(LiveClusterTest, RecoversCommittedStateFromFiles) {
@@ -478,7 +805,7 @@ TEST(LiveClusterTest, RecoversCommittedStateFromFiles) {
 
   // Phase 1: commit kTxns transactions, force the log tails, stop.
   {
-    LiveCluster c(LiveClusterOptions{2, 250, dir, true, 0});
+    LiveCluster c(LiveClusterOptions{2, 250, dir, true});
     LiveNodeOptions o;
     o.tm.protocol = ProtocolKind::kPresumedAbort;
     c.AddNode("coord", o);
@@ -522,7 +849,7 @@ TEST(LiveClusterTest, RecoversCommittedStateFromFiles) {
   // Phase 2: a fresh cluster on the same directory. FileStorage reloads the
   // fsync'd files; crash-then-restart replays them into the RMs.
   {
-    LiveCluster c(LiveClusterOptions{2, 250, dir, true, 0});
+    LiveCluster c(LiveClusterOptions{2, 250, dir, true});
     LiveNodeOptions o;
     o.tm.protocol = ProtocolKind::kPresumedAbort;
     c.AddNode("coord", o);

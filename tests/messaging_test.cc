@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <new>
 #include <random>
 #include <string>
 #include <vector>
@@ -14,29 +12,14 @@
 #include "net/network.h"
 #include "runtime/sim_runtime.h"
 #include "sim/sim_context.h"
+#include "support/counting_allocator.h"
 #include "tm/protocol_messages.h"
 #include "util/binary_io.h"
 
-// --- counting allocator ------------------------------------------------------
-// Replaceable global operator new/delete: every heap allocation in this test
-// binary bumps the counter. The zero-allocation test reads the delta across
-// a warmed-up region; everything else just pays one increment per alloc.
-
-namespace {
-unsigned long long g_alloc_count = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-
 namespace tpc {
 namespace {
+
+using test_support::AllocationCount;
 
 // --- TraceTag ----------------------------------------------------------------
 
@@ -676,9 +659,9 @@ TEST(ZeroAllocationTest, SteadyStateSendDeliverDecodeDoesNotAllocate) {
   // Warm the payload pool, message slab, free lists, and wheel buckets.
   for (int i = 0; i < 64; ++i) round_trip();
 
-  const uint64_t before = g_alloc_count;
+  const uint64_t before = AllocationCount();
   for (int i = 0; i < 256; ++i) round_trip();
-  const uint64_t allocations = g_alloc_count - before;
+  const uint64_t allocations = AllocationCount() - before;
 
   EXPECT_EQ(allocations, 0u) << "steady-state round trips must not allocate";
   EXPECT_TRUE(b.ok);
@@ -722,9 +705,9 @@ TEST(ZeroAllocationTest, PaxosBodyCodecSteadyStateDoesNotAllocate) {
   // Warm the scratch string and the decoded body's container capacities.
   for (int i = 0; i < 64; ++i) cycle();
 
-  const uint64_t before = g_alloc_count;
+  const uint64_t before = AllocationCount();
   for (int i = 0; i < 256; ++i) cycle();
-  const uint64_t allocations = g_alloc_count - before;
+  const uint64_t allocations = AllocationCount() - before;
 
   EXPECT_TRUE(ok);
   EXPECT_EQ(allocations, 0u)
@@ -760,9 +743,9 @@ TEST(ZeroAllocationTest, PaxosBundleCodecSteadyStateDoesNotAllocate) {
 
   for (int i = 0; i < 64; ++i) cycle();
 
-  const uint64_t before = g_alloc_count;
+  const uint64_t before = AllocationCount();
   for (int i = 0; i < 256; ++i) cycle();
-  const uint64_t allocations = g_alloc_count - before;
+  const uint64_t allocations = AllocationCount() - before;
 
   EXPECT_TRUE(ok);
   EXPECT_EQ(allocations, 0u)
@@ -796,9 +779,9 @@ TEST(ZeroAllocationTest, SimRuntimeAdapterAddsNoAllocations) {
 
   for (int i = 0; i < 64; ++i) cycle();  // warm the slab + wheel buckets
 
-  const uint64_t before = g_alloc_count;
+  const uint64_t before = AllocationCount();
   for (int i = 0; i < 256; ++i) cycle();
-  const uint64_t allocations = g_alloc_count - before;
+  const uint64_t allocations = AllocationCount() - before;
 
   EXPECT_EQ(allocations, 0u) << "the adapter must not wrap timer callbacks";
   EXPECT_TRUE(cancels_ok);

@@ -6,33 +6,18 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "sim/sim_context.h"
+#include "support/counting_allocator.h"
 #include "wal/log_manager.h"
 #include "wal/log_record.h"
 
-// --- counting allocator ------------------------------------------------------
-// Replaceable global operator new/delete (see messaging_test.cc): every heap
-// allocation in this binary bumps the counter; the zero-allocation test
-// reads the delta across a warmed-up region.
-
-static unsigned long long g_alloc_count = 0;
-
-void* operator new(std::size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-
 namespace tpc::wal {
 namespace {
+
+using test_support::AllocationCount;
 
 LogRecord MakeRecord(RecordType type, uint64_t txn, std::string owner = "tm",
                      std::string body = "") {
@@ -352,9 +337,9 @@ TEST(WalAllocationTest, SteadyStateFlushLoopDoesNotAllocate) {
   };
 
   spin(64);  // warm every pool: flush buffers, cb vectors, ring, wheel
-  const unsigned long long before = g_alloc_count;
+  const uint64_t before = AllocationCount();
   spin(256);
-  const unsigned long long allocations = g_alloc_count - before;
+  const uint64_t allocations = AllocationCount() - before;
   EXPECT_EQ(allocations, 0u)
       << "steady-state append->flush->ack loop must not allocate";
   EXPECT_EQ(acks, 2 * (64 + 256));
