@@ -39,7 +39,7 @@ void BM_LogAppendNonForced(benchmark::State& state) {
     log.Append(rec, /*force=*/false);
     if (txn % 1024 == 0) {
       state.PauseTiming();
-      log.ForceAll(nullptr);
+      log.RequestForce(nullptr);
       ctx.events().Run();
       state.ResumeTiming();
     }

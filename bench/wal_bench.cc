@@ -88,57 +88,6 @@ RunResult BestOf(uint64_t records, int reps) {
   return best;
 }
 
-// Workers-write-log append path: records land in per-owner buffers and the
-// flush daemon gathers them into one device write. The event loop runs every
-// 4096 appends so the daemon/device machinery executes inside the timed
-// region — this cell measures the full owner-buffer steady state (append +
-// gather + recycle), not just the encode.
-RunResult RunOwnerBuffers(uint64_t records) {
-  using namespace tpc;
-  sim::SimContext ctx;
-  ctx.trace().set_capture(false);
-  wal::LogManager log(&ctx, "n1");
-  wal::GroupCommitOptions gc;
-  gc.enabled = true;
-  gc.policy = wal::FlushPolicy::kWorkersWriteLog;
-  gc.group_size = 64;
-  gc.daemon_interval = 1 * sim::kMillisecond;
-  log.set_group_commit(gc);
-  const std::string tm_owner = "n1.tm";
-  const std::string rm_owner = "n1.rm";
-
-  std::vector<wal::LogRecord> mix;
-  mix.reserve(4096);
-  for (uint64_t i = 0; i < 4096; ++i)
-    mix.push_back(MakeRecord(i, tm_owner, rm_owner));
-
-  const auto start = std::chrono::steady_clock::now();
-  for (uint64_t i = 0; i < records; ++i) {
-    log.Append(mix[i % 4096], /*force=*/(i & 15) == 15);
-    if ((i & 4095) == 4095) ctx.events().Run();
-  }
-  ctx.events().Run();
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - start;
-
-  RunResult r;
-  r.records = records;
-  r.bytes = log.next_lsn();
-  r.wall_seconds = wall.count();
-  r.records_per_sec = r.wall_seconds > 0 ? records / r.wall_seconds : 0;
-  return r;
-}
-
-RunResult BestOfOwnerBuffers(uint64_t records, int reps) {
-  RunOwnerBuffers(records / 4);
-  RunResult best;
-  for (int i = 0; i < reps; ++i) {
-    RunResult r = RunOwnerBuffers(records);
-    if (r.records_per_sec > best.records_per_sec) best = r;
-  }
-  return best;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -171,14 +120,6 @@ int main(int argc, char** argv) {
   legacy_cell.Add("wall_seconds", legacy.wall_seconds);
   report.AddCell(legacy_cell);
 
-  RunResult wwl = BestOfOwnerBuffers(records, 3);
-  harness::SweepCell wwl_cell;
-  wwl_cell.label = "workers_write_log";
-  wwl_cell.Add("appends_per_sec", wwl.records_per_sec);
-  wwl_cell.Add("mb_per_sec", wwl.bytes / 1e6 / wwl.wall_seconds);
-  wwl_cell.Add("wall_seconds", wwl.wall_seconds);
-  report.AddCell(wwl_cell);
-
   std::printf("wal append, %llu records:\n",
               static_cast<unsigned long long>(records));
   std::printf("  optimized : %8.2fM appends/s (%.3fs, %.0f MB/s)\n",
@@ -188,9 +129,6 @@ int main(int argc, char** argv) {
               legacy.records_per_sec / 1e6, legacy.wall_seconds,
               legacy.bytes / 1e6 / legacy.wall_seconds);
   std::printf("  speedup   : %.2fx\n", speedup);
-  std::printf("  wwl path  : %8.2fM appends/s (%.3fs, %.0f MB/s)\n",
-              wwl.records_per_sec / 1e6, wwl.wall_seconds,
-              wwl.bytes / 1e6 / wwl.wall_seconds);
   std::printf("%s\n", report.Summary().c_str());
   std::printf("wrote %s\n", report.WriteJson().c_str());
   return 0;

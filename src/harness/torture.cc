@@ -39,6 +39,7 @@ struct Spec {
   /// seed synchronous-flush configuration the original scenarios froze).
   bool gc = false;
   wal::FlushPolicy flush = wal::FlushPolicy::kCountTimer;
+  sim::Time group_timeout = 5 * sim::kMillisecond;  ///< kCountTimer's timer
 };
 
 const Spec kSpecs[] = {
@@ -63,8 +64,8 @@ const Spec kSpecs[] = {
     {"pn_leaveout", "pn+leaveout", ProtocolKind::kPresumedNothing, Topo::kPair,
      false, false, false, false, false, /*leave_out=*/true},
     // Group-commit pipeline scenarios: same protocol flows, but forces ride
-    // the WAL policy ladder so the wal.* crash points (flush in flight,
-    // gather windows, steal races) become reachable.
+    // a WAL flush policy so the wal.* crash points (a flush in flight, a
+    // submit from the group timer or a device completion) become reachable.
     {"pa_gc_timer", "pa+gc", ProtocolKind::kPresumedAbort, Topo::kPair,
      false, false, false, false, false, false,
      /*gc=*/true, wal::FlushPolicy::kCountTimer},
@@ -74,12 +75,12 @@ const Spec kSpecs[] = {
     {"pa_gc_pipe", "pa+gc", ProtocolKind::kPresumedAbort, Topo::kPair,
      false, false, false, false, false, false,
      /*gc=*/true, wal::FlushPolicy::kFlushPipelining},
-    {"pa_gc_wwl", "pa+gc", ProtocolKind::kPresumedAbort, Topo::kChain,
+    {"pa_gc_chain", "pa+gc", ProtocolKind::kPresumedAbort, Topo::kChain,
      false, false, false, false, false, false,
-     /*gc=*/true, wal::FlushPolicy::kWorkersWriteLog},
-    {"pn_gc_wilo", "pn+gc", ProtocolKind::kPresumedNothing, Topo::kPair,
+     /*gc=*/true, wal::FlushPolicy::kCountTimer, 1 * sim::kMillisecond},
+    {"pn_gc_timer", "pn+gc", ProtocolKind::kPresumedNothing, Topo::kPair,
      false, false, false, false, false, false,
-     /*gc=*/true, wal::FlushPolicy::kWiloSteal},
+     /*gc=*/true, wal::FlushPolicy::kCountTimer, 1 * sim::kMillisecond},
     // Paxos Commit: the liveness oracle is strict here — a coordinator
     // crash must NOT block (in-doubt after full recovery is a violation,
     // never a `blocked` verdict), because any prepared participant can
@@ -275,15 +276,11 @@ TortureResult RunTortureCell(const TortureConfig& config) {
     base.group_commit.enabled = true;
     base.group_commit.policy = spec->flush;
     base.group_commit.group_size = 8;
-    base.group_commit.group_timeout = 5 * sim::kMillisecond;
+    base.group_commit.group_timeout = spec->group_timeout;
     // Depth 1 makes the single-txn workload exercise the submit-on-
     // completion path: the second force of a commit accumulates behind the
     // first and is submitted from the device completion (a wal.* window).
     base.group_commit.max_pipeline_depth = 1;
-    base.group_commit.daemon_interval = 1 * sim::kMillisecond;
-    // Small enough that a single record overflows an owner buffer, so WILO
-    // steals race the protocol's crash windows on nearly every append.
-    base.group_commit.worker_buffer_bytes = 32;
     base.log_queue_depth = 2;
   }
   if (tm::IsPaxos(spec->protocol)) {
@@ -413,7 +410,7 @@ TortureResult RunTortureCell(const TortureConfig& config) {
   if (spec->gc) {
     // Background local commits on every node, overlapping the audited
     // transaction's commit window: concurrent force requests are what makes
-    // the pipelined / daemon submit paths (and their crash windows)
+    // the pipelined and group-timer submit paths (and their crash windows)
     // reachable — a single transaction's forces never queue behind each
     // other on one node. Keys are disjoint from the audited writers'.
     for (const std::string& n : nodes) {

@@ -125,8 +125,6 @@ namespace tpc::tm {
   X(kSubAfterVoteAcceptForce, "sub.after_vote_accept_force")            \
   /* paxos commit: acceptor durability + replies */                     \
   X(kAcceptorBeforeAcceptForce, "acceptor.before_accept_force")         \
-  X(kAcceptorAfterAcceptForce, "acceptor.after_accept_force")           \
-  X(kAcceptorAfterAcceptedSend, "acceptor.after_accepted_send")         \
   X(kAcceptorAfterPromiseSend, "acceptor.after_promise_send")           \
   /* paxos commit: bundled acceptor replies (one force covers every
      instance of the transaction; one 2b bundle per leader) */          \

@@ -40,8 +40,10 @@ enum class PduType : uint8_t {
 
   // Paxos Commit (Gray & Lamport). Each carries a PaxosBody in the frame's
   // data field; the frame layout itself is unchanged.
-  kPaxosAccept,    ///< 2a: proposer -> acceptor (ballot-0 vote or takeover)
-  kPaxosAccepted,  ///< 2b: acceptor -> leader
+  kPaxosAccept,    ///< 2a: participant -> acceptor (its ballot-0 vote)
+  /// Singleton 2b: no longer sent (every 2b is a kPaxosAcceptedBundle); the
+  /// value keeps the PDU numbering and trace classifiers unchanged.
+  kPaxosAccepted,
   kPaxosQuery,     ///< 1a: takeover leader -> acceptor (promise request)
   kPaxosPromise,   ///< 1b: acceptor -> takeover leader (grant or nack)
   kPaxosTakeover,  ///< stuck participant asks a candidate to lead

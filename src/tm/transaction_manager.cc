@@ -1,6 +1,7 @@
 #include "tm/transaction_manager.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <map>
 #include <set>
@@ -97,6 +98,8 @@ void TransactionManager::Init() {
   fi_node_ = failures.InternNode(name_);
   for (size_t i = 0; i < kCrashPointCount; ++i)
     fi_points_[i] = failures.InternPoint(kCrashPointNames[i]);
+  // PaxosInst::acked_by has one bit per acceptor.
+  TPC_CHECK(config_.acceptors.size() <= 64);
 }
 
 void TransactionManager::AttachRm(rm::KVResourceManager* rm) {
@@ -1929,20 +1932,19 @@ void TransactionManager::ArmEarlyPrepare(Txn& txn) {
 // ---------------------------------------------------------------------------
 
 bool TransactionManager::IsAcceptor() const {
-  for (const auto& acc : config_.acceptors)
-    if (acc == name_) return true;
-  return false;
+  return AcceptorIndex(name_) < config_.acceptors.size();
+}
+
+size_t TransactionManager::AcceptorIndex(std::string_view name) const {
+  size_t i = 0;
+  while (i < config_.acceptors.size() && config_.acceptors[i] != name) ++i;
+  return i;
 }
 
 uint64_t TransactionManager::PaxosBallot(uint64_t attempt) const {
   const uint64_t n = static_cast<uint64_t>(config_.acceptors.size());
-  uint64_t rank = n;  // non-acceptor leaders draw from the top residue
-  for (uint64_t i = 0; i < n; ++i) {
-    if (config_.acceptors[i] == name_) {
-      rank = i;
-      break;
-    }
-  }
+  // Non-acceptor leaders draw from the top residue (rank n).
+  const uint64_t rank = AcceptorIndex(name_);
   // Saturate instead of wrapping: at the cap every leader still draws a
   // distinct ballot (the rank residue survives), and a capped ballot can
   // never fall back under an already-promised one — dueling takeovers
@@ -2019,10 +2021,10 @@ void TransactionManager::SendPaxosVote(Txn& txn, bool prepared,
   if (!IsAcceptor()) return;
   if (!self_accepted) {
     // The combined-force fold did not happen (a takeover outbid ballot 0
-    // before we voted): run the classic accept path, which rechecks the
-    // ballot and forces before any reply. May complete synchronously.
-    AcceptorOnAccept(body.leader, id, name_, 0, prepared, body.cohort,
-                     body.leader);
+    // before we voted): run the accept path, which rechecks the ballot and
+    // forces before any reply to a remote leader. May complete
+    // synchronously.
+    AcceptorOnAccept(body.leader, id, name_, prepared, body.cohort);
     return;
   }
   // Our acceptance already rode the prepared force; reply (bundled) once
@@ -2140,7 +2142,7 @@ void TransactionManager::SendPaxosProposals(Txn& txn) {
   // anything) is proposed Aborted — its participant never voted, and
   // Aborted is always safe for an unvoted instance.
   for (auto& inst : txn.paxos_insts) {
-    inst.acks = 0;
+    inst.acked_by = 0;
     inst.done = false;
     inst.value = inst.seen_any ? inst.seen_value : false;
   }
@@ -2208,44 +2210,17 @@ void TransactionManager::DecidePaxos(Txn& txn, bool commit) {
 
 void TransactionManager::AcceptorOnAccept(
     const net::NodeId& leader, uint64_t id, const net::NodeId& instance,
-    uint64_t ballot, bool prepared, const std::vector<std::string>& cohort,
-    const net::NodeId& leader0) {
+    bool prepared, const std::vector<std::string>& cohort) {
   if (!IsAcceptor()) return;  // stray traffic
-  if (!acceptor_.Accept(id, instance, ballot, prepared, cohort, leader0))
-    return;  // promised a higher ballot: the proposer is stale
-  if (ballot == 0) {
-    // Ballot-0 votes arrive one per participant. Defer the reply until the
-    // whole cohort's instances are in, so the transaction costs this
-    // acceptor ONE covering force and ONE bundled 2b instead of one of
-    // each per instance (the paper's bundling optimization). Deferral is
-    // liveness-safe: the leader cannot decide without every instance
-    // anyway, and a lost vote is redriven by the takeover machinery.
-    AcceptorMaybeReply(leader, id);
-    return;
-  }
-  // A singleton 2a at a takeover ballot (wire compatibility; live takeover
-  // leaders now send bundles): classic immediate path — force, then the
-  // per-instance 2b.
-  if (CrashHere(CrashPt::kAcceptorBeforeAcceptForce)) return;
-  // The acceptor's word must survive its crash: force the snapshot before
-  // the 2b leaves. Last-record-wins on recovery.
-  std::string snap;
-  acceptor_.EncodeSnapshot(id, &snap);
-  AppendTmRecord(id, wal::RecordType::kTmAccept, /*force=*/true,
-                 std::move(snap),
-                 [this, id, leader, instance, ballot, prepared] {
-    if (CrashHere(CrashPt::kAcceptorAfterAcceptForce)) return;
-    if (leader == name_) {
-      LeaderOnAccepted(id, instance, ballot, prepared);
-      return;
-    }
-    PaxosBody reply;  // 2b
-    reply.ballot = ballot;
-    reply.prepared = prepared;
-    reply.instance = instance;
-    SendPaxosPdu(leader, PduType::kPaxosAccepted, id, reply);
-    CrashHere(CrashPt::kAcceptorAfterAcceptedSend);
-  });
+  if (!acceptor_.Accept(id, instance, 0, prepared, cohort, leader))
+    return;  // promised a takeover ballot: this vote is stale
+  // Ballot-0 votes arrive one per participant. Defer the reply until the
+  // whole cohort's instances are in, so the transaction costs this
+  // acceptor ONE covering force and ONE bundled 2b instead of one of each
+  // per instance (the paper's bundling optimization). Deferral is
+  // liveness-safe: the leader cannot decide without every instance anyway,
+  // and a lost vote is redriven by the takeover machinery.
+  AcceptorMaybeReply(leader, id);
 }
 
 void TransactionManager::AcceptorMaybeReply(const net::NodeId& fallback_leader,
@@ -2259,7 +2234,10 @@ void TransactionManager::AcceptorMaybeReply(const net::NodeId& fallback_leader,
     // Externalization rule: we are the ballot-0 leader, so acceptance and
     // observation live on one node — the decision record's force is the
     // durability barrier, and the snapshot rides non-forced under it. A
-    // crash loses the acceptances and their observation together.
+    // crash loses the acceptances and their observation together. This
+    // branch can run twice for one transaction (when a peer's 2a completes
+    // the cohort, and again after our own prepared force); the leader
+    // counts our acceptor once, so the repeat adds nothing.
     std::string snap;
     acceptor_.EncodeSnapshot(id, &snap);
     AppendTmRecord(id, wal::RecordType::kTmAccept, /*force=*/false,
@@ -2269,7 +2247,7 @@ void TransactionManager::AcceptorMaybeReply(const net::NodeId& fallback_leader,
     paxos_entries_.clear();
     for (const auto& acc : state->accepted)
       paxos_entries_.push_back({acc.name, acc.ballot, acc.prepared});
-    LeaderOnAcceptedEntries(id);
+    LeaderOnAcceptedEntries(id, name_);
     return;
   }
   if (CrashHere(CrashPt::kAcceptorBeforeBundleForce)) return;
@@ -2321,7 +2299,7 @@ void TransactionManager::AcceptorOnAcceptBundle(
       for (const auto& acc : state->accepted)
         if (acc.ballot == ballot)
           paxos_entries_.push_back({acc.name, acc.ballot, acc.prepared});
-      LeaderOnAcceptedEntries(id);
+      LeaderOnAcceptedEntries(id, name_);
       return;
     }
     PaxosBody reply;
@@ -2411,7 +2389,7 @@ void TransactionManager::AcceptorOnQuery(const net::NodeId& leader,
   });
 }
 
-void TransactionManager::LeaderOnAccepted(uint64_t id,
+void TransactionManager::LeaderOnAccepted(uint64_t id, size_t acceptor,
                                           std::string_view instance,
                                           uint64_t ballot, bool prepared) {
   Txn* txn = FindTxn(id);
@@ -2420,17 +2398,25 @@ void TransactionManager::LeaderOnAccepted(uint64_t id,
   if (ballot != txn->paxos_ballot) return;  // stragglers of an old round
   Txn::PaxosInst* inst = FindInst(*txn, instance);
   if (inst == nullptr || inst->done) return;
+  // A majority is of distinct acceptors: a repeated 2b (our own acceptor's
+  // local delivery, or a re-sent bundle) must not count twice.
+  const uint64_t bit = uint64_t{1} << acceptor;
+  if ((inst->acked_by & bit) != 0) return;
+  inst->acked_by |= bit;
   inst->value = prepared;  // every 2b at one ballot carries the same value
-  ++inst->acks;
-  if (!PaxosAcceptor::IsMajority(inst->acks, config_.acceptors.size()))
+  if (!PaxosAcceptor::IsMajority(std::popcount(inst->acked_by),
+                                 config_.acceptors.size()))
     return;
   inst->done = true;
   CheckPaxosOutcome(*txn);
 }
 
-void TransactionManager::LeaderOnAcceptedEntries(uint64_t id) {
+void TransactionManager::LeaderOnAcceptedEntries(uint64_t id,
+                                                 std::string_view from) {
+  const size_t acceptor = AcceptorIndex(from);
+  if (acceptor == config_.acceptors.size()) return;  // not an acceptor
   for (const PaxosAccepted& e : paxos_entries_) {
-    LeaderOnAccepted(id, e.instance, e.ballot, e.prepared);
+    LeaderOnAccepted(id, acceptor, e.instance, e.ballot, e.prepared);
     if (!up_) return;
   }
 }
@@ -2486,10 +2472,13 @@ void TransactionManager::OnPaxosAcceptPdu(const net::NodeId& from,
                                           const Pdu& pdu,
                                           std::string_view data) {
   if (!DecodePaxosBody(data, &paxos_in_).ok()) return;  // drop malformed
+  // Singleton 2a's are participants' ballot-0 votes; a takeover proposes
+  // with a bundle, so a singleton at any other ballot is dropped.
+  if (paxos_in_.ballot != 0) return;
   const net::NodeId& leader =
       paxos_in_.leader.empty() ? from : paxos_in_.leader;
-  AcceptorOnAccept(leader, pdu.txn, paxos_in_.instance, paxos_in_.ballot,
-                   paxos_in_.prepared, paxos_in_.cohort, leader);
+  AcceptorOnAccept(leader, pdu.txn, paxos_in_.instance, paxos_in_.prepared,
+                   paxos_in_.cohort);
 }
 
 void TransactionManager::OnPaxosAcceptBundlePdu(const net::NodeId& from,
@@ -2502,26 +2491,20 @@ void TransactionManager::OnPaxosAcceptBundlePdu(const net::NodeId& from,
                          paxos_in_.accepted, paxos_in_.cohort);
 }
 
-void TransactionManager::OnPaxosAcceptedBundlePdu(const Pdu& pdu,
+void TransactionManager::OnPaxosAcceptedBundlePdu(const net::NodeId& from,
+                                                  const Pdu& pdu,
                                                   std::string_view data) {
   if (!DecodePaxosBundle(data, &paxos_in_).ok()) return;
   // Copy out of the reused decode scratch: completing an instance can
   // decide the transaction and drive sends that re-enter the codec.
   paxos_entries_.assign(paxos_in_.accepted.begin(), paxos_in_.accepted.end());
-  LeaderOnAcceptedEntries(pdu.txn);
+  LeaderOnAcceptedEntries(pdu.txn, from);
 }
 
 void TransactionManager::OnPaxosEndPdu(const Pdu& pdu) {
   // The decision owner finished resolving everywhere: our acceptor state
   // for this transaction can never be read by a takeover again.
   AcceptorReclaim(pdu.txn);
-}
-
-void TransactionManager::OnPaxosAcceptedPdu(const Pdu& pdu,
-                                            std::string_view data) {
-  if (!DecodePaxosBody(data, &paxos_in_).ok()) return;
-  LeaderOnAccepted(pdu.txn, paxos_in_.instance, paxos_in_.ballot,
-                   paxos_in_.prepared);
 }
 
 void TransactionManager::OnPaxosQueryPdu(const net::NodeId& from,
@@ -2733,8 +2716,7 @@ void TransactionManager::DispatchPdu(const net::NodeId& from, const Pdu& pdu,
       OnPaxosAcceptPdu(from, pdu, data);
       break;
     case PduType::kPaxosAccepted:
-      OnPaxosAcceptedPdu(pdu, data);
-      break;
+      break;  // never sent: every 2b travels as a bundle
     case PduType::kPaxosQuery:
       OnPaxosQueryPdu(from, pdu, data);
       break;
@@ -2748,7 +2730,7 @@ void TransactionManager::DispatchPdu(const net::NodeId& from, const Pdu& pdu,
       OnPaxosAcceptBundlePdu(from, pdu, data);
       break;
     case PduType::kPaxosAcceptedBundle:
-      OnPaxosAcceptedBundlePdu(pdu, data);
+      OnPaxosAcceptedBundlePdu(from, pdu, data);
       break;
     case PduType::kPaxosEnd:
       OnPaxosEndPdu(pdu);

@@ -339,7 +339,8 @@ class TransactionManager : public net::Endpoint {
       net::NodeId name;     ///< cohort member whose vote this instance is
       bool done = false;    ///< 2b majority reached at the current ballot
       bool value = false;   ///< instance outcome: Prepared (true) / Aborted
-      uint32_t acks = 0;    ///< 2b count at the current ballot
+      /// Bit i set: config_.acceptors[i] sent its 2b at the current ballot.
+      uint64_t acked_by = 0;
       // Takeover phase 1: highest-ballot accepted value reported in 1b.
       uint64_t seen_ballot = 0;
       bool seen_value = false;
@@ -500,6 +501,9 @@ class TransactionManager : public net::Endpoint {
 
   // --- Paxos Commit -----------------------------------------------------------
   bool IsAcceptor() const;
+  /// Position of `name` in config_.acceptors, or acceptors.size() when it is
+  /// not an acceptor.
+  size_t AcceptorIndex(std::string_view name) const;
   /// Ballot for this node's `attempt`-th takeover. Distinct leaders draw
   /// from distinct residues mod (acceptors + 1), so no two leaders ever
   /// share a ballot; 0 is reserved for the participants' self-votes. The
@@ -549,10 +553,11 @@ class TransactionManager : public net::Endpoint {
   // leader. A reply delivered locally to ourself-as-leader rides without
   // its own force — the decision record's force is the externalization
   // barrier, so a crash loses the acceptance and its observation together.
+  /// Ballot-0 2a ingress (a participant's own vote; `leader` is the
+  /// ballot-0 leader): records the vote, then AcceptorMaybeReply.
   void AcceptorOnAccept(const net::NodeId& leader, uint64_t id,
-                        const net::NodeId& instance, uint64_t ballot,
-                        bool prepared, const std::vector<std::string>& cohort,
-                        const net::NodeId& leader0);
+                        const net::NodeId& instance, bool prepared,
+                        const std::vector<std::string>& cohort);
   /// Bundled 2a ingress (one PDU, every instance): applies all accepts,
   /// forces ONE covering snapshot, replies with ONE bundled 2b.
   void AcceptorOnAcceptBundle(const net::NodeId& leader, uint64_t id,
@@ -576,12 +581,16 @@ class TransactionManager : public net::Endpoint {
   void PaxosBroadcastEnd(Txn& txn);
 
   // Leader ingress for acceptor replies (wire + local short-circuit).
-  void LeaderOnAccepted(uint64_t id, std::string_view instance,
-                        uint64_t ballot, bool prepared);
-  /// LeaderOnAccepted for every entry of paxos_entries_, a copy taken
-  /// because completing an instance can decide the transaction and reclaim
-  /// or re-decode the state the entries came from.
-  void LeaderOnAcceptedEntries(uint64_t id);
+  /// One 2b from config_.acceptors[`acceptor`]; each acceptor counts once
+  /// per instance and ballot toward the majority.
+  void LeaderOnAccepted(uint64_t id, size_t acceptor,
+                        std::string_view instance, uint64_t ballot,
+                        bool prepared);
+  /// LeaderOnAccepted for every entry of paxos_entries_, all sent by the
+  /// acceptor named `from`. paxos_entries_ is a copy because completing an
+  /// instance can decide the transaction and reclaim or re-decode the state
+  /// the entries came from.
+  void LeaderOnAcceptedEntries(uint64_t id, std::string_view from);
   Txn* LeaderForPromise(uint64_t id, uint64_t ballot);
   void LeaderMergeAccepted(Txn& txn, std::string_view instance,
                            uint64_t ballot, bool prepared);
@@ -590,7 +599,6 @@ class TransactionManager : public net::Endpoint {
 
   void OnPaxosAcceptPdu(const net::NodeId& from, const Pdu& pdu,
                         std::string_view data);
-  void OnPaxosAcceptedPdu(const Pdu& pdu, std::string_view data);
   void OnPaxosQueryPdu(const net::NodeId& from, const Pdu& pdu,
                        std::string_view data);
   void OnPaxosPromisePdu(const Pdu& pdu, std::string_view data);
@@ -598,7 +606,8 @@ class TransactionManager : public net::Endpoint {
                           std::string_view data);
   void OnPaxosAcceptBundlePdu(const net::NodeId& from, const Pdu& pdu,
                               std::string_view data);
-  void OnPaxosAcceptedBundlePdu(const Pdu& pdu, std::string_view data);
+  void OnPaxosAcceptedBundlePdu(const net::NodeId& from, const Pdu& pdu,
+                                std::string_view data);
   void OnPaxosEndPdu(const Pdu& pdu);
 
   // --- shared ---------------------------------------------------------------

@@ -18,21 +18,8 @@ const char* FlushPolicyName(FlushPolicy p) {
   switch (p) {
     case FlushPolicy::kCountTimer: return "count_timer";
     case FlushPolicy::kFlushPipelining: return "flush_pipelining";
-    case FlushPolicy::kWorkersWriteLog: return "workers_write_log";
-    case FlushPolicy::kWiloSteal: return "wilo_steal";
   }
   return "unknown";
-}
-
-bool ParseFlushPolicy(std::string_view name, FlushPolicy* out) {
-  for (FlushPolicy p : {FlushPolicy::kCountTimer, FlushPolicy::kFlushPipelining,
-                        FlushPolicy::kWorkersWriteLog, FlushPolicy::kWiloSteal}) {
-    if (name == FlushPolicyName(p)) {
-      *out = p;
-      return true;
-    }
-  }
-  return false;
 }
 
 LogManager::LogManager(sim::SimContext* ctx, std::string node,
@@ -74,29 +61,10 @@ LogWriteStats& LogManager::TxnSlot(uint64_t txn) {
 Lsn LogManager::Append(const LogRecord& record, bool force,
                        AppendCallback done) {
   const uint32_t owner = owner_ids_.Intern(record.owner);
-  const bool owner_buffered = UsesOwnerBuffers();
-  std::string* dst = &buffer_;
-  if (owner_buffered) {
-    if (owner >= owner_bufs_.size()) {
-      owner_bufs_.resize(owner + 1);
-      owner_read_.resize(owner + 1, 0);
-    }
-    dst = &owner_bufs_[owner];
-  }
-  const size_t start = dst->size();
-  record.EncodeTo(*dst);  // in place: no temporary encode buffer
-  const size_t len = dst->size() - start;
+  const size_t start = buffer_.size();
+  record.EncodeTo(buffer_);  // in place: no temporary encode buffer
   Lsn lsn = next_lsn_;
-  next_lsn_ += len;
-  if (owner_buffered) {
-    // Arrival-order segment list: gather interleaves the owner buffers in
-    // exactly this order, so the physical log layout equals the LSN order
-    // and every Append-returned LSN stays an exact byte offset.
-    if (!segments_.empty() && segments_.back().owner == owner)
-      segments_.back().bytes += static_cast<uint32_t>(len);
-    else
-      segments_.push_back(Segment{owner, static_cast<uint32_t>(len)});
-  }
+  next_lsn_ += buffer_.size() - start;
 
   ++stats_.writes;
   LogWriteStats& ts = TxnSlot(record.txn);
@@ -120,22 +88,7 @@ Lsn LogManager::Append(const LogRecord& record, bool force,
   } else if (done) {
     done();
   }
-
-  // WILO: an owner whose buffer ran full steals the flush instead of
-  // waiting for the daemon (the wake gathers every peer's buffer too). If a
-  // wake is already armed, the steal flag folds into it.
-  if (owner_buffered && group_.policy == FlushPolicy::kWiloSteal &&
-      owner_bufs_[owner].size() > group_.worker_buffer_bytes) {
-    ScheduleWake(/*steal=*/true);
-  }
   return lsn;
-}
-
-void LogManager::ForceAll(AppendCallback done) {
-  RequestForce(std::move(done));
-  // Checkpoints need "force now" semantics; the daemon path would otherwise
-  // sit out its gather deadline.
-  if (UsesOwnerBuffers()) ScheduleWake(/*steal=*/false);
 }
 
 void LogManager::RequestForce(AppendCallback done) {
@@ -170,14 +123,6 @@ void LogManager::RequestForce(AppendCallback done) {
       // OnFlushSlotFree). No timer: the device always completes, so the
       // batch is bounded by one device service time, not group_timeout.
       if (flushes_in_flight_ < group_.max_pipeline_depth) Flush();
-      break;
-    case FlushPolicy::kWorkersWriteLog:
-    case FlushPolicy::kWiloSteal:
-      if (pending_force_requests_ >= group_.group_size) {
-        ScheduleWake(/*steal=*/false);
-      } else if (!wake_.armed()) {
-        ArmDaemonTimer();
-      }
       break;
   }
 }
@@ -237,72 +182,6 @@ void LogManager::OnFlushSlotFree() {
   CrashHere(WalCrashPt::kAfterFlushSubmit);
 }
 
-void LogManager::ArmDaemonTimer() {
-  if (daemon_timer_.armed()) return;
-  const uint64_t epoch = epoch_;
-  daemon_timer_.Arm(rt_, group_.daemon_interval, [this, epoch] {
-    if (epoch != epoch_) return;
-    daemon_timer_.Fired();
-    if (pending_force_requests_ == 0 && segments_.empty()) return;
-    DaemonGatherAndSubmit(/*steal=*/false);
-  });
-}
-
-void LogManager::ScheduleWake(bool steal) {
-  if (wake_.armed()) {
-    wake_is_steal_ = wake_is_steal_ || steal;
-    return;
-  }
-  if (daemon_timer_.armed()) TPC_CHECK(daemon_timer_.Cancel(rt_));
-  wake_is_steal_ = steal;
-  // Zero-delay: the wake runs later this same instant, so the worker that
-  // triggered it has fully unwound out of Append before any crash point in
-  // the gather path can fire.
-  const uint64_t epoch = epoch_;
-  wake_.Arm(rt_, 0, [this, epoch] {
-    if (epoch != epoch_) return;
-    wake_.Fired();
-    DaemonGatherAndSubmit(wake_is_steal_);
-  });
-}
-
-void LogManager::DaemonGatherAndSubmit(bool steal) {
-  if (CrashHere(WalCrashPt::kBeforeGather)) return;
-  std::string bytes = TakeSpareBuffer();
-  GatherOwnerBuffers(bytes);
-  // The gathered bytes live only in this local buffer: a crash in this
-  // window loses them exactly like any buffered-but-unsubmitted record.
-  if (CrashHere(WalCrashPt::kBetweenGatherSubmit)) return;
-  SubmitWrite(std::move(bytes));
-  if (steal) {
-    ++steals_;
-    CrashHere(WalCrashPt::kAfterStealSubmit);
-  } else {
-    CrashHere(WalCrashPt::kAfterFlushSubmit);
-  }
-}
-
-void LogManager::GatherOwnerBuffers(std::string& out) {
-  // Records appended before a mid-run policy switch sit in the central
-  // buffer and predate every owner-buffered byte; they go first.
-  if (!buffer_.empty()) {
-    out.append(buffer_);
-    buffer_.clear();
-  }
-  for (const Segment& seg : segments_) {
-    const std::string& src = owner_bufs_[seg.owner];
-    size_t& off = owner_read_[seg.owner];
-    out.append(src, off, seg.bytes);
-    off += seg.bytes;
-  }
-  segments_.clear();
-  for (size_t i = 0; i < owner_bufs_.size(); ++i) {
-    TPC_DCHECK(owner_read_[i] == owner_bufs_[i].size());
-    owner_bufs_[i].clear();  // capacity survives for the next round
-    owner_read_[i] = 0;
-  }
-}
-
 std::string LogManager::TakeSpareBuffer() {
   if (spare_buffers_.empty()) return std::string();
   std::string s = std::move(spare_buffers_.back());
@@ -334,18 +213,12 @@ void LogManager::Crash() {
   buffer_.clear();
   pending_force_.clear();
   pending_force_requests_ = 0;
-  for (std::string& b : owner_bufs_) b.clear();
-  for (size_t& r : owner_read_) r = 0;
-  segments_.clear();
   // Timer hygiene: an armed timer must always name a live pending event,
   // so each cancel must succeed — a dead id here could fire (or alias a
   // recycled slot) in the next epoch. Timer callbacks mark themselves fired
   // before running any body code, so a crash from inside one never reaches
   // this cancel for the event being executed.
   if (group_timer_.armed()) TPC_CHECK(group_timer_.Cancel(rt_));
-  if (daemon_timer_.armed()) TPC_CHECK(daemon_timer_.Cancel(rt_));
-  if (wake_.armed()) TPC_CHECK(wake_.Cancel(rt_));
-  wake_is_steal_ = false;
   flushes_in_flight_ = 0;
   storage_->Crash();
   // LSN space continues from the durable prefix after restart.
@@ -375,7 +248,6 @@ void LogManager::ResetStats() {
   txn_stats_.Clear();
   owner_stats_.clear();  // owner ids stay interned; slots refill on demand
   force_latency_.Clear();
-  steals_ = 0;
 }
 
 uint64_t LogManager::ApproxBytes() const {
@@ -383,10 +255,6 @@ uint64_t LogManager::ApproxBytes() const {
   bytes += buffer_.capacity();
   bytes += owner_stats_.capacity() * sizeof(LogWriteStats);
   bytes += pending_force_.capacity() * sizeof(PendingForce);
-  for (const std::string& b : owner_bufs_) bytes += b.capacity();
-  bytes += owner_bufs_.capacity() * sizeof(std::string);
-  bytes += owner_read_.capacity() * sizeof(size_t);
-  bytes += segments_.capacity() * sizeof(Segment);
   for (const std::string& b : spare_buffers_) bytes += b.capacity();
   bytes += spare_buffers_.capacity() * sizeof(std::string);
   for (const auto& v : spare_cb_vecs_)

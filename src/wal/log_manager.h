@@ -11,21 +11,16 @@
 //    `group_size` force requests have accumulated or `group_timeout`
 //    expires, amortizing one device write across many transactions.
 //
-// Beyond the paper's count+timer scheme, the flush path implements the
-// modern policy ladder (after leanstore's commit protocols):
-//  * kCountTimer       — the seed behavior, trace-frozen default.
+// Two flush policies share one central log buffer:
+//  * kCountTimer       — the paper's count+timer scheme; the seed behavior
+//    and trace-frozen default.
 //  * kFlushPipelining  — a force request submits immediately while fewer
 //    than `max_pipeline_depth` flushes are in flight; beyond that requests
 //    accumulate and the next device completion submits them as one batch.
 //    Commit acks decouple from the fsync path; batching emerges under load.
-//  * kWorkersWriteLog  — appends land in per-owner log buffers (the TM and
-//    each shared-log LRM own one); a flush daemon wakes on the count
-//    trigger or a `daemon_interval` timer, gathers every owner buffer in
-//    arrival order into one pooled flush buffer, and submits a single
-//    device write.
-//  * kWiloSteal        — workers-write-log plus: a worker whose buffer
-//    exceeds `worker_buffer_bytes` steals the daemon's job, gathering and
-//    submitting every peer's buffer without waiting for the wake.
+// A node's TM and RMs append one at a time on the node's single mailbox,
+// so per-writer log buffers (leanstore's workers-write-log) would buy no
+// concurrency here: one buffer and one force queue serve every owner.
 //
 // Whatever the policy, an ack never runs before its covering device write
 // retires: every pending force records the log tail it must cover and the
@@ -40,8 +35,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include <memory>
@@ -62,14 +55,10 @@ namespace tpc::wal {
 enum class FlushPolicy : uint8_t {
   kCountTimer = 0,
   kFlushPipelining,
-  kWorkersWriteLog,
-  kWiloSteal,
 };
 
 /// Stable label for bench cells and sweep configs.
 const char* FlushPolicyName(FlushPolicy p);
-/// Inverse of FlushPolicyName; returns false on an unknown label.
-bool ParseFlushPolicy(std::string_view name, FlushPolicy* out);
 
 /// Group-commit tuning.
 struct GroupCommitOptions {
@@ -82,11 +71,6 @@ struct GroupCommitOptions {
   FlushPolicy policy = FlushPolicy::kCountTimer;
   /// kFlushPipelining: flushes allowed in flight before requests accumulate.
   uint32_t max_pipeline_depth = 2;
-  /// kWorkersWriteLog / kWiloSteal: daemon gather deadline after the first
-  /// pending force request (the policy ladder's analogue of group_timeout).
-  sim::Time daemon_interval = 1 * sim::kMillisecond;
-  /// kWiloSteal: an owner buffer larger than this triggers a steal flush.
-  uint64_t worker_buffer_bytes = 4096;
 };
 
 /// Logical write counters (what the paper's tables count).
@@ -126,8 +110,10 @@ class LogManager {
   /// null. Returns the record's LSN.
   Lsn Append(const LogRecord& record, bool force, AppendCallback done = nullptr);
 
-  /// Forces everything currently buffered (used by checkpoints and by tests).
-  void ForceAll(AppendCallback done);
+  /// Forces everything currently buffered under the group-commit policy:
+  /// `done` (may be null) runs once the current log tail is durable. A
+  /// forced Append calls it; tests call it to flush the log.
+  void RequestForce(AppendCallback done);
 
   /// Crash: buffered records and pending force callbacks are lost; stable
   /// storage keeps completed writes only.
@@ -152,8 +138,6 @@ class LogManager {
   LogWriteStats StatsForOwner(const std::string& owner) const;
   /// Physical device writes completed (group commit reduces this).
   uint64_t device_forces() const { return storage_->completed_writes(); }
-  /// WILO steal flushes submitted.
-  uint64_t steals() const { return steals_; }
 
   void ResetStats();
 
@@ -165,10 +149,10 @@ class LogManager {
 
   StorageBackend& storage() { return *storage_; }
 
-  /// Heap bytes held by the log's buffers (including per-owner buffers and
-  /// the recycled flush-buffer pool) and stats tables (cluster memory
-  /// budget). Per-txn stats are sparse, so a node pays for the transactions
-  /// it logged, not for the cluster-wide txn-id space.
+  /// Heap bytes held by the log's buffers (including the recycled
+  /// flush-buffer pool) and stats tables (cluster memory budget). Per-txn
+  /// stats are sparse, so a node pays for the transactions it logged, not
+  /// for the cluster-wide txn-id space.
   uint64_t ApproxBytes() const;
 
  private:
@@ -179,18 +163,10 @@ class LogManager {
     Lsn cover;
     sim::Time requested;
   };
-  /// One run of consecutive appends by the same owner (workers-write-log
-  /// arrival-order bookkeeping; gather concatenates segments in order so the
-  /// physical log layout equals the logical LSN order).
-  struct Segment {
-    uint32_t owner;
-    uint32_t bytes;
-  };
 
   void Init();  ///< shared constructor body
-  void RequestForce(AppendCallback done);
-  /// Count+timer / pipelining: submits the central buffer and the pending
-  /// force callbacks as one device write.
+  /// Submits the central buffer and the pending force callbacks as one
+  /// device write.
   void Flush();
   /// Hands `bytes` plus every pending force callback to the device.
   void SubmitWrite(std::string bytes);
@@ -198,18 +174,6 @@ class LogManager {
   void AckForces(std::vector<PendingForce>& cbs, uint64_t epoch);
   /// Device completion hook: pipelining submits the accumulated batch here.
   void OnFlushSlotFree();
-
-  // --- workers-write-log / WILO machinery -----------------------------------
-  bool UsesOwnerBuffers() const {
-    return group_.enabled && (group_.policy == FlushPolicy::kWorkersWriteLog ||
-                              group_.policy == FlushPolicy::kWiloSteal);
-  }
-  void ArmDaemonTimer();
-  /// Schedules the zero-delay daemon wake (count trigger or WILO steal).
-  void ScheduleWake(bool steal);
-  /// Drains every owner buffer (arrival order) and submits one device write.
-  void DaemonGatherAndSubmit(bool steal);
-  void GatherOwnerBuffers(std::string& out);
 
   // --- pooled buffers (allocation-free steady-state flush) ------------------
   std::string TakeSpareBuffer();
@@ -238,19 +202,8 @@ class LogManager {
   std::vector<PendingForce> pending_force_;
   uint32_t pending_force_requests_ = 0;
   runtime::Timer group_timer_;
-  runtime::Timer daemon_timer_;
-  runtime::Timer wake_;  ///< zero-delay daemon wake
-  bool wake_is_steal_ = false;
   uint32_t flushes_in_flight_ = 0;
   uint64_t epoch_ = 0;
-  uint64_t steals_ = 0;
-
-  // Per-owner log buffers (workers-write-log): indexed by interned owner
-  // tag, with arrival-order segments recording how gather must interleave
-  // them so LSNs stay exact byte offsets.
-  std::vector<std::string> owner_bufs_;
-  std::vector<size_t> owner_read_;  // per-owner gather cursor (transient)
-  std::vector<Segment> segments_;
 
   // Recycled capacity: flush buffers come back from the device once their
   // payload is durable; callback vectors come back after their acks run.

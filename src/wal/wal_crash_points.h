@@ -1,24 +1,17 @@
 // Crash points instrumenting the WAL group-commit pipeline.
 //
 // Naming follows src/tm/crash_points.h (`role.point_name` with role `wal.`).
-// WAL points fire only from *asynchronous* flush contexts — group/daemon
-// timer pops, pipelined submit-on-completion, and the zero-delay wake events
-// the count trigger and WILO steal schedule — never synchronously under
-// `Append`/`RequestForce`. TM and RM call sites touch transaction state
-// after Append returns, so a synchronous crash there would corrupt the very
-// state recovery audits; the async-only rule keeps every WAL crash a clean
-// "node dies between events" cut, matching the torture oracle's model.
+// WAL points fire only from *asynchronous* flush contexts — the group
+// timer's pop and pipelining's submit-on-completion — never synchronously
+// under `Append`/`RequestForce`. TM and RM call sites touch transaction
+// state after Append returns, so a synchronous crash there would corrupt
+// the very state recovery audits; the async-only rule keeps every WAL crash
+// a clean "node dies between events" cut, matching the torture oracle's
+// model.
 //
 // Windows covered:
 //   before/after_flush_submit   — around handing a flush to the log device
 //                                 (the in-flight-write-lost window)
-//   before_gather               — workers-write-log daemon woke but has not
-//                                 yet collected the per-owner buffers
-//   between_gather_submit       — owner buffers drained into the flush
-//                                 buffer, device write not yet submitted
-//                                 (gathered bytes are volatile and die here)
-//   after_steal_submit          — a WILO steal submitted a peer's buffer and
-//                                 the stealing worker dies immediately after
 
 #ifndef TPC_WAL_WAL_CRASH_POINTS_H_
 #define TPC_WAL_WAL_CRASH_POINTS_H_
@@ -30,16 +23,12 @@ namespace tpc::wal {
 enum class WalCrashPt : unsigned {
   kBeforeFlushSubmit = 0,
   kAfterFlushSubmit,
-  kBeforeGather,
-  kBetweenGatherSubmit,
-  kAfterStealSubmit,
   kCount
 };
 
 inline constexpr const char* kWalCrashPoints[] = {
-    "wal.before_flush_submit", "wal.after_flush_submit",
-    "wal.before_gather",       "wal.between_gather_submit",
-    "wal.after_steal_submit",
+    "wal.before_flush_submit",
+    "wal.after_flush_submit",
 };
 inline constexpr size_t kWalCrashPointCount =
     sizeof(kWalCrashPoints) / sizeof(kWalCrashPoints[0]);

@@ -242,7 +242,7 @@ TEST(GroupCommitCrashTest, ForceAllOnEmptyBufferStillAcks) {
   sim::SimContext ctx;
   wal::LogManager log(&ctx, "n1");
   bool acked = false;
-  log.ForceAll([&] { acked = true; });
+  log.RequestForce([&] { acked = true; });
   EXPECT_FALSE(acked);  // durable only after the device round trip
   ctx.events().Run();
   EXPECT_TRUE(acked);
@@ -322,7 +322,7 @@ TEST(HotPathEquivalenceTest, WalBytesAndStatsMatchSeed) {
     const bool force = (i % 16) == 15;
     EXPECT_EQ(log.Append(rec, force), legacy.Append(rec, force));
   }
-  log.ForceAll(nullptr);
+  log.RequestForce(nullptr);
   legacy.ForceAll(nullptr);
   new_ctx.events().Run();
   old_ctx.events().Run();

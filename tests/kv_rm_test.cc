@@ -295,7 +295,7 @@ TEST_F(SharedLogRmTest, ResolvedRecoveredCommitRidesTheTmsForces) {
   shared_rm.Write(9, "k", "v", [&](Status st) { wrote = st.ok(); });
   shared_rm.Prepare(9, [](VoteInfo) {});
   bool forced = false;
-  log_.ForceAll([&] { forced = true; });  // a TM force covers the prepare
+  log_.RequestForce([&] { forced = true; });  // a TM force covers the prepare
   ctx_.events().Run();
   ASSERT_TRUE(wrote && forced);
 

@@ -507,7 +507,7 @@ std::map<std::string, NodeImage> RunScenarioSim(Outcome* commit_outcome,
 
   std::map<std::string, NodeImage> images;
   for (const char* n : {"coord", "sub1", "sub2"}) {
-    c.node(n).log().ForceAll(nullptr);
+    c.node(n).log().RequestForce(nullptr);
     c.Drain();
     NodeImage& img = images[n];
     img.records = RecordSeq(c.node(n).log().storage().durable());
@@ -599,7 +599,7 @@ std::map<std::string, NodeImage> RunScenarioLive(Outcome* commit_outcome,
   for (const char* n : {"coord", "sub1", "sub2"}) {
     std::promise<void> forced;
     c.Post(n, [&c, n, &forced] {
-      c.node(n).log().ForceAll([&forced] { forced.set_value(); });
+      c.node(n).log().RequestForce([&forced] { forced.set_value(); });
     });
     forced.get_future().wait();
     NodeImage& img = images[n];
@@ -839,7 +839,7 @@ TEST(LiveClusterTest, RecoversCommittedStateFromFiles) {
     for (const char* n : {"coord", "sub"}) {
       std::promise<void> forced;
       c.Post(n, [&c, n, &forced] {
-        c.node(n).log().ForceAll([&forced] { forced.set_value(); });
+        c.node(n).log().RequestForce([&forced] { forced.set_value(); });
       });
       forced.get_future().wait();
     }

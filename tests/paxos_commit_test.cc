@@ -21,6 +21,7 @@
 #include "rm/kv_resource_manager.h"
 #include "tm/paxos_acceptor.h"
 #include "tm/types.h"
+#include "wal/log_record.h"
 
 namespace tpc {
 namespace {
@@ -196,7 +197,9 @@ struct PaxosCluster {
   Cluster c{1};
   uint64_t txn = 0;
 
-  explicit PaxosCluster(bool acceptor_only_third = true) {
+  /// a2 is an acceptor with no RM; `c0_force_latency` is the coordinator's
+  /// log device service time.
+  explicit PaxosCluster(sim::Time c0_force_latency = 2 * sim::kMillisecond) {
     NodeOptions base;
     base.tm.protocol = ProtocolKind::kPaxosCommit;
     base.tm.acceptors = {"c0", "s1", "a2"};
@@ -204,7 +207,8 @@ struct PaxosCluster {
     base.tm.inquiry_delay = 4 * sim::kSecond;
     for (const char* n : {"c0", "s1", "a2"}) {
       NodeOptions options = base;
-      if (acceptor_only_third && std::string(n) == "a2") options.num_rms = 0;
+      if (std::string(n) == "c0") options.log_force_latency = c0_force_latency;
+      if (std::string(n) == "a2") options.num_rms = 0;
       c.AddNode(n, options);
     }
     c.Connect("c0", "s1");
@@ -364,6 +368,45 @@ TEST(PaxosCommitTest, DuelingTakeoversConvergeOnOneDecision) {
   const harness::TxnAudit audit = f.c.Audit(f.txn);
   EXPECT_TRUE(audit.consistent);
   EXPECT_FALSE(audit.any_in_doubt);
+}
+
+// A leader that is also an acceptor counts its own acceptor's 2b once. c0's
+// slow prepared force lets s1's ballot-0 2a complete c0's acceptor cohort
+// first, so c0's acceptor hands the leader both instances twice: when that
+// 2a lands and again after the force. a2 never hears from c0, and c0 loses
+// s1 before its force completes, so one acceptor (c0's) holds c0's vote.
+// Counting it twice would commit on that single acceptance, while s1's
+// takeover with a2 finds c0's instance free and aborts.
+TEST(PaxosCommitTest, LeaderCountsItsOwnAcceptorOnce) {
+  PaxosCluster f(50 * sim::kMillisecond);
+  f.StartWorkload();
+  f.c.network().SetLinkDown("c0", "a2", true);
+  auto commit = f.c.StartCommit("c0", f.txn);
+  f.c.RunFor(20 * sim::kMillisecond);  // s1's 2a has reached c0
+  f.c.network().SetLinkDown("c0", "s1", true);
+  f.c.RunFor(30 * sim::kSecond);
+
+  // Isolated, c0 holds one acceptor's word for its instance: no majority,
+  // so no decision record reaches its log and the commit stays pending.
+  size_t c0_decisions = 0;
+  for (const wal::LogRecord& r : f.c.node("c0").log().Recover())
+    if (r.txn == f.txn && (r.type == wal::RecordType::kTmCommitted ||
+                           r.type == wal::RecordType::kTmAborted))
+      ++c0_decisions;
+  EXPECT_EQ(c0_decisions, 0u);
+  EXPECT_FALSE(commit->completed);
+
+  f.c.network().SetLinkDown("c0", "a2", false);
+  f.c.network().SetLinkDown("c0", "s1", false);
+  f.c.RunFor(30 * sim::kSecond);
+  const tm::Outcome s1 = f.c.tm("s1").View(f.txn).outcome;
+  EXPECT_TRUE(s1 == tm::Outcome::kCommitted || s1 == tm::Outcome::kAborted);
+  EXPECT_EQ(f.c.tm("c0").View(f.txn).outcome, s1);
+  ASSERT_TRUE(commit->completed);
+  EXPECT_EQ(commit->result.outcome, s1);
+  EXPECT_EQ(f.c.node("c0").rm().Peek("k_c0").ok(),
+            f.c.node("s1").rm().Peek("k_s1").ok());
+  EXPECT_TRUE(f.c.Audit(f.txn).consistent);
 }
 
 // Satellite (c): a bundled 2b that arrives after the leader already decided

@@ -62,7 +62,7 @@ TEST(TortureCampaign, FullCrashPointMatrix) {
   const bool smoke = Level() == "smoke";
   std::set<std::string> smoke_scenarios = {
       "basic_pair", "pa_pair", "pa_la_ro", "pn_pair",
-      "pa_gc_pipe", "pn_gc_wilo", "paxos_flat", "paxos_f0",
+      "pa_gc_pipe", "pn_gc_timer", "paxos_flat", "paxos_f0",
       "onephase_pair", "onephase_logless"};
 
   std::set<std::string> fired_points;     // distinct point names that fired
@@ -148,13 +148,13 @@ TEST(TortureCampaign, FullCrashPointMatrix) {
   }
 }
 
-// Targeted cells for the group-commit pipeline's own crash windows: a flush
-// in flight when the node dies, a workers-write-log crash between gather and
-// submit (the gathered bytes are volatile and must be recoverable as lost),
-// and a WILO steal racing the crash. Each must fire and satisfy the oracle —
-// in particular invariant 1: no commit ack can have run unless its covering
-// device write completed (the covering-LSN TPC_CHECK aborts the process
-// otherwise, so a violation cannot even reach the oracle silently).
+// Targeted cells for the group-commit pipeline's own crash windows: a node
+// dying just before or just after it hands a flush to the device, under
+// count+timer (pair and chain, PA and PN) and pipelining. Each must fire
+// and satisfy the oracle — in particular invariant 1: no commit ack can
+// have run unless its covering device write completed (the covering-LSN
+// TPC_CHECK aborts the process otherwise, so a violation cannot even reach
+// the oracle silently).
 TEST(TortureCampaign, GroupCommitPipelineWindows) {
   struct Cell {
     const char* scenario;
@@ -167,11 +167,11 @@ TEST(TortureCampaign, GroupCommitPipelineWindows) {
       {"basic_gc_pipe", "c0", "wal.after_flush_submit"},
       {"pa_gc_pipe", "c0", "wal.before_flush_submit"},
       {"pa_gc_pipe", "s1", "wal.after_flush_submit"},
-      {"pa_gc_wwl", "c0", "wal.before_gather"},
-      {"pa_gc_wwl", "m1", "wal.between_gather_submit"},
-      {"pa_gc_wwl", "s2", "wal.between_gather_submit"},
-      {"pn_gc_wilo", "s1", "wal.after_steal_submit"},
-      {"pn_gc_wilo", "c0", "wal.after_steal_submit"},
+      {"pa_gc_chain", "c0", "wal.before_flush_submit"},
+      {"pa_gc_chain", "m1", "wal.before_flush_submit"},
+      {"pa_gc_chain", "s2", "wal.after_flush_submit"},
+      {"pn_gc_timer", "s1", "wal.after_flush_submit"},
+      {"pn_gc_timer", "c0", "wal.before_flush_submit"},
   };
   for (const Cell& cell : kCells) {
     TortureConfig cfg = BaseConfig(cell.scenario);

@@ -1,8 +1,7 @@
 // Pipelined group-commit WAL: the size-aware log device model (latency +
-// bandwidth + queue depth), the flush-policy ladder (pipelining, workers-
-// write-log, WILO steal), crash hygiene across mid-group crashes, and a
-// counting-allocator proof that the steady-state flush loop never touches
-// the heap.
+// bandwidth + queue depth), flush pipelining, crash hygiene across
+// mid-group crashes, and a counting-allocator proof that the steady-state
+// flush loop never touches the heap.
 
 #include <gtest/gtest.h>
 
@@ -92,7 +91,7 @@ TEST(DeviceModelTest, BandwidthStretchesLargeWrites) {
   EXPECT_EQ(storage.bytes_written(), 1000u);
 }
 
-// --- flush-policy ladder -----------------------------------------------------
+// --- flush policies ----------------------------------------------------------
 
 GroupCommitOptions PolicyOptions(FlushPolicy policy) {
   GroupCommitOptions group;
@@ -101,21 +100,7 @@ GroupCommitOptions PolicyOptions(FlushPolicy policy) {
   group.group_size = 4;
   group.group_timeout = 5 * sim::kMillisecond;
   group.max_pipeline_depth = 2;
-  group.daemon_interval = 1 * sim::kMillisecond;
-  group.worker_buffer_bytes = 4096;
   return group;
-}
-
-TEST(FlushPolicyTest, NamesRoundTrip) {
-  for (FlushPolicy p :
-       {FlushPolicy::kCountTimer, FlushPolicy::kFlushPipelining,
-        FlushPolicy::kWorkersWriteLog, FlushPolicy::kWiloSteal}) {
-    FlushPolicy parsed;
-    ASSERT_TRUE(ParseFlushPolicy(FlushPolicyName(p), &parsed));
-    EXPECT_EQ(parsed, p);
-  }
-  FlushPolicy parsed;
-  EXPECT_FALSE(ParseFlushPolicy("bogus", &parsed));
 }
 
 TEST(FlushPolicyTest, PipeliningSubmitsWithoutWaitingForGroup) {
@@ -154,67 +139,6 @@ TEST(FlushPolicyTest, PipeliningBatchesBeyondDepth) {
   ctx.events().Run();
   EXPECT_EQ(completions, 4);
   EXPECT_EQ(log.device_forces(), 2u);  // 1 + batched 3
-}
-
-TEST(FlushPolicyTest, WorkersWriteLogKeepsLsnOrderAcrossOwners) {
-  sim::SimContext ctx;
-  LogManager log(&ctx, "n1", 2 * sim::kMillisecond);
-  log.set_group_commit(PolicyOptions(FlushPolicy::kWorkersWriteLog));
-  // Interleaved appends from two owners: per-owner buffers must gather back
-  // into exact LSN (arrival) order, byte for byte.
-  std::vector<Lsn> lsns;
-  lsns.push_back(log.Append(MakeRecord(RecordType::kRmUpdate, 1, "rm"), false));
-  lsns.push_back(log.Append(MakeRecord(RecordType::kTmPrepared, 1, "tm"), false));
-  lsns.push_back(log.Append(MakeRecord(RecordType::kRmUpdate, 2, "rm"), false));
-  bool done = false;
-  log.Append(MakeRecord(RecordType::kTmCommitted, 1, "tm"), true,
-             [&] { done = true; });
-  ctx.events().Run();
-  EXPECT_TRUE(done);
-  EXPECT_EQ(log.durable_lsn(), log.next_lsn());
-  std::vector<LogRecord> recovered = log.Recover();
-  ASSERT_EQ(recovered.size(), 4u);
-  EXPECT_EQ(recovered[0].type, RecordType::kRmUpdate);
-  EXPECT_EQ(recovered[0].txn, 1u);
-  EXPECT_EQ(recovered[1].type, RecordType::kTmPrepared);
-  EXPECT_EQ(recovered[2].txn, 2u);
-  EXPECT_EQ(recovered[3].type, RecordType::kTmCommitted);
-  // LSNs are exact byte offsets even with per-owner buffering.
-  EXPECT_EQ(lsns[0], 0u);
-  EXPECT_LT(lsns[1], lsns[2]);
-}
-
-TEST(FlushPolicyTest, WiloStealSubmitsPeerBuffers) {
-  sim::SimContext ctx;
-  LogManager log(&ctx, "n1", 2 * sim::kMillisecond);
-  GroupCommitOptions group = PolicyOptions(FlushPolicy::kWiloSteal);
-  group.worker_buffer_bytes = 64;
-  group.group_size = 100;  // count trigger out of the way
-  log.set_group_commit(group);
-  // "rm" fills its buffer past the threshold; the overflowing worker steals
-  // the daemon's job and submits every owner's buffer.
-  log.Append(MakeRecord(RecordType::kTmPrepared, 1, "tm"), false);
-  for (int i = 0; i < 4; ++i)
-    log.Append(
-        MakeRecord(RecordType::kRmUpdate, 2, "rm", std::string(32, 'x')),
-        false);
-  ctx.events().Run();
-  EXPECT_GE(log.steals(), 1u);
-  EXPECT_EQ(log.durable_lsn(), log.next_lsn());
-  EXPECT_EQ(log.Recover().size(), 5u);
-}
-
-TEST(FlushPolicyTest, OwnerBuffersCountedInApproxBytes) {
-  sim::SimContext ctx;
-  LogManager log(&ctx, "n1", 2 * sim::kMillisecond);
-  log.set_group_commit(PolicyOptions(FlushPolicy::kWorkersWriteLog));
-  const uint64_t before = log.ApproxBytes();
-  for (int i = 0; i < 16; ++i)
-    log.Append(
-        MakeRecord(RecordType::kRmUpdate, 1, "rm", std::string(256, 'x')),
-        false);
-  // Unflushed per-owner buffers are real heap held by the log.
-  EXPECT_GT(log.ApproxBytes(), before + 16 * 256);
 }
 
 // --- crash hygiene -----------------------------------------------------------
@@ -282,15 +206,15 @@ TEST(WalCrashTest, CrashWithFlushInFlightDropsAcks) {
   EXPECT_EQ(log.durable_lsn(), log.next_lsn());
 }
 
-TEST(WalCrashTest, WorkersWriteLogCrashLosesOwnerBuffers) {
+TEST(WalCrashTest, CrashLosesBufferedRecordsOfEveryOwner) {
   sim::SimContext ctx;
   LogManager log(&ctx, "n1", 2 * sim::kMillisecond);
-  log.set_group_commit(PolicyOptions(FlushPolicy::kWorkersWriteLog));
+  log.set_group_commit(PolicyOptions(FlushPolicy::kCountTimer));
   log.Append(MakeRecord(RecordType::kTmPrepared, 1, "tm"), true);
   ctx.events().Run();
   ASSERT_EQ(log.Recover().size(), 1u);
-  // Buffered-only records (owner buffers, no force completed) die with the
-  // node; the gathered flush after recovery must not resurrect them.
+  // Buffered-only records (no force covered them) die with the node,
+  // whichever owner appended them; the next flush must not resurrect them.
   log.Append(MakeRecord(RecordType::kRmUpdate, 2, "rm"), false);
   log.Append(MakeRecord(RecordType::kTmPrepared, 2, "tm"), false);
   log.Crash();
