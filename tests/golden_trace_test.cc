@@ -4,8 +4,9 @@
 //   - the paper's figures 1-8 (RunFigureScenario);
 //   - every shipped scenario script: its printed output and whole trace;
 //   - one commit and one abort per protocol family on protocol_compare's
-//     cell (RunFamilyCell, paxos F=0 included): the outcome, the trace, and
-//     a CRC32C of each node's durable log image.
+//     cell (RunFamilyCell, paxos F=0 included): the outcome, the trace, a
+//     CRC32C of each node's durable log image, and each node's end state
+//     (transactions the TM, RMs and acceptor still track, locks held).
 //
 // A deliberate behaviour change regenerates the files with
 //
@@ -57,6 +58,21 @@ std::string RenderFamilyCell(tm::ProtocolKind protocol, bool abort_case,
     const std::string& image = c.node(name).log().storage().durable();
     StringAppendF(&out, "  %-6s %08x %zu\n", name.c_str(),
                   crc32c::Value(image), image.size());
+  }
+  // What each node still holds once the cell settles: a transaction the TM
+  // or an RM keeps tracking, or a lock it keeps, shows up here.
+  out += "end state (tm txns, held locks, rm txns, acceptor txns):\n";
+  for (const std::string& name : c.NodeNames()) {
+    Node& node = c.node(name);
+    size_t locks = 0;
+    size_t rm_txns = 0;
+    for (size_t i = 0; i < node.rm_count(); ++i) {
+      locks += node.rm(i).locks().HeldLockCount();
+      rm_txns += node.rm(i).ActiveCount();
+    }
+    StringAppendF(&out, "  %-6s %zu %zu %zu %zu\n", name.c_str(),
+                  node.tm().ActiveTxnCount(), locks, rm_txns,
+                  node.tm().AcceptorTxnCount());
   }
   return out;
 }
