@@ -232,6 +232,35 @@ Status DecodePaxosBundle(std::string_view data, PaxosBody* out) {
   return Status::OK();
 }
 
+std::string EncodeBody(const TmRecordBody& body) {
+  Encoder enc;
+  enc.PutString(body.upstream);
+  enc.PutBool(body.is_root);
+  enc.PutBool(body.heur_commit);
+  enc.PutVarint(body.children.size());
+  for (const auto& c : body.children) enc.PutString(c);
+  enc.PutVarint(body.cohort.size());
+  for (const auto& c : body.cohort) enc.PutString(c);
+  return enc.Release();
+}
+
+Status DecodeBody(std::string_view data, TmRecordBody* body) {
+  Decoder dec(data);
+  TPC_RETURN_IF_ERROR(dec.GetString(&body->upstream));
+  TPC_RETURN_IF_ERROR(dec.GetBool(&body->is_root));
+  TPC_RETURN_IF_ERROR(dec.GetBool(&body->heur_commit));
+  uint64_t n = 0;
+  TPC_RETURN_IF_ERROR(dec.GetVarint(&n));
+  body->children.resize(n);
+  for (uint64_t i = 0; i < n; ++i)
+    TPC_RETURN_IF_ERROR(dec.GetString(&body->children[i]));
+  TPC_RETURN_IF_ERROR(dec.GetVarint(&n));
+  body->cohort.resize(n);
+  for (uint64_t i = 0; i < n; ++i)
+    TPC_RETURN_IF_ERROR(dec.GetString(&body->cohort[i]));
+  return Status::OK();
+}
+
 void Pdu::EncodeTo(std::string* out, std::string_view data_bytes) const {
   uint16_t flags = 0;
   if (long_locks) flags |= kFlagLongLocks;

@@ -115,6 +115,22 @@ void EncodePaxosBundle(const PaxosBody& body, std::string* out);
 /// bounded. Fields not in the bundle format are cleared on `out`.
 Status DecodePaxosBundle(std::string_view data, PaxosBody* out);
 
+/// Body shared by the TM protocol log records. Children are the peers a
+/// decision must reach during recovery; upstream is where acknowledgments
+/// (or inquiries) go.
+struct TmRecordBody {
+  std::string upstream;  // empty at the root
+  bool is_root = false;
+  bool heur_commit = false;  // kTmHeuristic only
+  std::vector<std::string> children;
+  /// Paxos Commit: the full cohort, persisted in the prepared record so a
+  /// recovered participant can lead a takeover. Empty for other protocols.
+  std::vector<std::string> cohort;
+};
+
+std::string EncodeBody(const TmRecordBody& body);
+Status DecodeBody(std::string_view data, TmRecordBody* body);
+
 /// One protocol data unit. A tagged union kept flat for simplicity; only
 /// the fields relevant to `type` are meaningful.
 struct Pdu {
