@@ -53,11 +53,6 @@ void LogManager::Init() {
       [this](std::string&& s) { RecycleBuffer(std::move(s)); });
 }
 
-LogWriteStats& LogManager::TxnSlot(uint64_t txn) {
-  // May rehash: Append uses the reference before the next TxnSlot call.
-  return txn_stats_.GetOrCreate(txn);
-}
-
 Lsn LogManager::Append(const LogRecord& record, bool force,
                        AppendCallback done) {
   const uint32_t owner = owner_ids_.Intern(record.owner);
@@ -67,8 +62,6 @@ Lsn LogManager::Append(const LogRecord& record, bool force,
   next_lsn_ += buffer_.size() - start;
 
   ++stats_.writes;
-  LogWriteStats& ts = TxnSlot(record.txn);
-  ++ts.writes;
   if (owner >= owner_stats_.size()) owner_stats_.resize(owner + 1);
   LogWriteStats& os = owner_stats_[owner];
   ++os.writes;
@@ -82,7 +75,6 @@ Lsn LogManager::Append(const LogRecord& record, bool force,
 
   if (force) {
     ++stats_.forced_writes;
-    ++ts.forced_writes;
     ++os.forced_writes;
     RequestForce(std::move(done));
   } else if (done) {
@@ -231,11 +223,6 @@ void LogManager::DiscardPrefix(Lsn lsn) {
   storage_->Truncate(lsn - storage_->base_offset());
 }
 
-LogWriteStats LogManager::StatsForTxn(uint64_t txn) const {
-  const LogWriteStats* stats = txn_stats_.Find(txn);
-  return stats == nullptr ? LogWriteStats{} : *stats;
-}
-
 LogWriteStats LogManager::StatsForOwner(const std::string& owner) const {
   const uint32_t id = owner_ids_.Find(owner);
   if (id == StringInterner::kNotFound || id >= owner_stats_.size())
@@ -245,14 +232,12 @@ LogWriteStats LogManager::StatsForOwner(const std::string& owner) const {
 
 void LogManager::ResetStats() {
   stats_ = LogWriteStats{};
-  txn_stats_.Clear();
   owner_stats_.clear();  // owner ids stay interned; slots refill on demand
   force_latency_.Clear();
 }
 
 uint64_t LogManager::ApproxBytes() const {
-  uint64_t bytes = txn_stats_.ApproxBytes();
-  bytes += buffer_.capacity();
+  uint64_t bytes = buffer_.capacity();
   bytes += owner_stats_.capacity() * sizeof(LogWriteStats);
   bytes += pending_force_.capacity() * sizeof(PendingForce);
   for (const std::string& b : spare_buffers_) bytes += b.capacity();

@@ -41,7 +41,6 @@
 
 #include "runtime/runtime.h"
 #include "sim/sim_context.h"
-#include "util/flat_map.h"
 #include "util/histogram.h"
 #include "util/interner.h"
 #include "wal/log_record.h"
@@ -132,8 +131,6 @@ class LogManager {
   Lsn next_lsn() const { return next_lsn_; }
 
   const LogWriteStats& stats() const { return stats_; }
-  /// Logical writes attributed to one transaction (0 entries prune to {}).
-  LogWriteStats StatsForTxn(uint64_t txn) const;
   /// Logical writes attributed to one owner tag.
   LogWriteStats StatsForOwner(const std::string& owner) const;
   /// Physical device writes completed (group commit reduces this).
@@ -187,8 +184,6 @@ class LogManager {
     return ctx_->failures().CrashPoint(fi_node_, wal_points_[static_cast<size_t>(p)]);
   }
 
-  LogWriteStats& TxnSlot(uint64_t txn);
-
   std::unique_ptr<runtime::Runtime> owned_rt_;    ///< compat-ctor SimRuntime
   std::unique_ptr<StorageBackend> owned_storage_; ///< compat-ctor device
   runtime::Runtime* rt_;
@@ -217,12 +212,9 @@ class LogManager {
   uint32_t wal_points_[kWalCrashPointCount] = {};
 
   LogWriteStats stats_;
-  // Per-txn counters in a sparse open-addressed map (txn ids are global
-  // across the cluster, so a dense by-id vector would cost every node
-  // O(cluster-wide txn count)); per-owner counters in a flat vector indexed
-  // by interned owner tag. The append hot path performs one integer hash
-  // probe and no string hashing beyond the one owner-tag intern probe.
-  FlatId64Map<LogWriteStats> txn_stats_;
+  // Per-owner counters in a flat vector indexed by interned owner tag: the
+  // append hot path does no string hashing beyond the owner-tag intern
+  // probe, and nothing grows per transaction.
   StringInterner owner_ids_;
   std::vector<LogWriteStats> owner_stats_;
 };

@@ -332,11 +332,6 @@ TEST(HotPathEquivalenceTest, WalBytesAndStatsMatchSeed) {
   EXPECT_EQ(log.storage().durable(), legacy.storage().durable());
   EXPECT_EQ(log.stats().writes, legacy.stats().writes);
   EXPECT_EQ(log.stats().forced_writes, legacy.stats().forced_writes);
-  for (uint64_t txn = 1; txn <= 64; ++txn) {
-    EXPECT_EQ(log.StatsForTxn(txn).writes, legacy.StatsForTxn(txn).writes);
-    EXPECT_EQ(log.StatsForTxn(txn).forced_writes,
-              legacy.StatsForTxn(txn).forced_writes);
-  }
   for (const char* owner : {"n1.tm", "n1.rm"}) {
     EXPECT_EQ(log.StatsForOwner(owner).writes, legacy.StatsForOwner(owner).writes);
     EXPECT_EQ(log.StatsForOwner(owner).forced_writes,

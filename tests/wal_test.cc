@@ -125,16 +125,14 @@ TEST_F(LogManagerTest, InFlightForceLostOnCrash) {
   EXPECT_TRUE(log_.Recover().empty());
 }
 
-TEST_F(LogManagerTest, PerTxnAndPerOwnerStats) {
+TEST_F(LogManagerTest, PerOwnerStats) {
   log_.Append(MakeRecord(RecordType::kTmPrepared, 1, "a"), true);
   log_.Append(MakeRecord(RecordType::kTmCommitted, 1, "a"), true);
   log_.Append(MakeRecord(RecordType::kTmEnd, 1, "a"), false);
   log_.Append(MakeRecord(RecordType::kTmCommitted, 2, "b"), true);
   ctx_.events().Run();
-  EXPECT_EQ(log_.StatsForTxn(1).writes, 3u);
-  EXPECT_EQ(log_.StatsForTxn(1).forced_writes, 2u);
-  EXPECT_EQ(log_.StatsForTxn(2).writes, 1u);
   EXPECT_EQ(log_.StatsForOwner("a").writes, 3u);
+  EXPECT_EQ(log_.StatsForOwner("a").forced_writes, 2u);
   EXPECT_EQ(log_.StatsForOwner("b").forced_writes, 1u);
   EXPECT_EQ(log_.StatsForOwner("absent").writes, 0u);
 }
