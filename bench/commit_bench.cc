@@ -12,6 +12,7 @@
 // Usage: commit_bench [txns]
 
 #include <chrono>
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -20,6 +21,7 @@
 
 #include "harness/bench_report.h"
 #include "harness/cluster.h"
+#include "util/format.h"
 #include "util/logging.h"
 #include "wal/log_manager.h"
 
@@ -199,7 +201,7 @@ double RunGcContended(wal::FlushPolicy policy) {
   c.ctx().trace().set_capture(false);
   c.tm("sub").SetAppDataHandler(
       [&c](uint64_t txn, const net::NodeId&, std::string_view) {
-        c.tm("sub").Write(txn, 0, "s" + std::to_string(txn), "v",
+        c.tm("sub").Write(txn, 0, StringPrintf("s%" PRIu64, txn), "v",
                           [](Status st) { TPC_CHECK(st.ok()); });
       });
 
@@ -209,7 +211,7 @@ double RunGcContended(wal::FlushPolicy policy) {
     if (started == kGcTxns) return;
     ++started;
     uint64_t txn = c.tm("coord").Begin();
-    c.tm("coord").Write(txn, 0, "k" + std::to_string(txn), "v",
+    c.tm("coord").Write(txn, 0, StringPrintf("k%" PRIu64, txn), "v",
                         [](Status st) { TPC_CHECK(st.ok()); });
     TPC_CHECK(c.tm("coord").SendWork(txn, "sub").ok());
     // Think time before commit: the work flow must reach the subordinate

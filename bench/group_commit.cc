@@ -14,6 +14,7 @@
 //
 // Usage: group_commit [txns] [arrival_interval_us]
 
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -92,14 +93,14 @@ harness::SweepCell RunPolicyCell(const ProtocolCell& proto,
   c.node("sub").log().set_collect_force_latency(true);
   c.tm("sub").SetAppDataHandler(
       [&c](uint64_t txn, const net::NodeId&, std::string_view) {
-        c.tm("sub").Write(txn, 0, "s" + std::to_string(txn), "v",
+        c.tm("sub").Write(txn, 0, StringPrintf("s%" PRIu64, txn), "v",
                           [](Status st) { TPC_CHECK(st.ok()); });
       });
 
   std::vector<std::shared_ptr<harness::DrivenCommit>> commits;
   for (uint64_t i = 0; i < txns; ++i) {
     uint64_t txn = c.tm("coord").Begin();
-    c.tm("coord").Write(txn, 0, "k" + std::to_string(i), "v",
+    c.tm("coord").Write(txn, 0, StringPrintf("k%" PRIu64, i), "v",
                         [](Status st) { TPC_CHECK(st.ok()); });
     TPC_CHECK(c.tm("coord").SendWork(txn, "sub").ok());
     c.RunFor(arrival / 2);
@@ -185,7 +186,7 @@ int main(int argc, char** argv) {
     c.network().set_tracing(false);
     c.tm("sub").SetAppDataHandler(
         [&c](uint64_t txn, const net::NodeId&, std::string_view) {
-          c.tm("sub").Write(txn, 0, "s" + std::to_string(txn), "v",
+          c.tm("sub").Write(txn, 0, StringPrintf("s%" PRIu64, txn), "v",
                             [](Status st) { TPC_CHECK(st.ok()); });
         });
 
@@ -193,7 +194,7 @@ int main(int argc, char** argv) {
     std::vector<std::shared_ptr<harness::DrivenCommit>> commits;
     for (uint64_t i = 0; i < kTxns; ++i) {
       uint64_t txn = c.tm("coord").Begin();
-      c.tm("coord").Write(txn, 0, "k" + std::to_string(i), "v",
+      c.tm("coord").Write(txn, 0, StringPrintf("k%" PRIu64, i), "v",
                           [](Status st) { TPC_CHECK(st.ok()); });
       TPC_CHECK(c.tm("coord").SendWork(txn, "sub").ok());
       c.RunFor(kArrival / 2);

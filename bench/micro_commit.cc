@@ -4,7 +4,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cinttypes>
+
 #include "harness/cluster.h"
+#include "util/format.h"
 #include "util/logging.h"
 
 namespace tpc {
@@ -83,7 +86,7 @@ void BM_CommitStarN(benchmark::State& state) {
   NodeOptions options;
   c.AddNode("root", options);
   for (uint64_t i = 1; i < n; ++i) {
-    std::string name = "m" + std::to_string(i);
+    std::string name = StringPrintf("m%" PRIu64, i);
     c.AddNode(name, options);
     c.Connect("root", name);
     c.tm(name).SetAppDataHandler(
@@ -96,7 +99,7 @@ void BM_CommitStarN(benchmark::State& state) {
   for (auto _ : state) {
     uint64_t txn = c.tm("root").Begin();
     for (uint64_t i = 1; i < n; ++i) {
-      TPC_CHECK(c.tm("root").SendWork(txn, "m" + std::to_string(i)).ok());
+      TPC_CHECK(c.tm("root").SendWork(txn, StringPrintf("m%" PRIu64, i)).ok());
     }
     c.RunFor(10 * sim::kMillisecond);
     harness::DrivenCommit commit = c.CommitAndWait("root", txn);

@@ -196,11 +196,11 @@ void BM_NetworkSendDeliverLegacy(benchmark::State& state) {
   network.Register("b", &b);
   const std::string payload(64, 'm');
   for (auto _ : state) {
-    net::LegacyMessage msg;
-    msg.from = "a";
-    msg.to = "b";
-    msg.kind = net::MsgKind::kApp;
-    msg.payload = payload;
+    net::LegacyMessage msg{.from = "a",
+                           .to = "b",
+                           .kind = net::MsgKind::kApp,
+                           .trace_tag = {},
+                           .payload = payload};
     benchmark::DoNotOptimize(network.SendLegacy(std::move(msg)));
     ctx.events().Run();
   }

@@ -9,6 +9,7 @@
 //
 // Usage: readonly_fraction [txns] [threads]
 
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -45,7 +46,7 @@ harness::SweepCell RunMix(bool read_only_opt, double ro_fraction,
     c.tm(node).SetAppDataHandler(
         [&c, node](uint64_t txn, const net::NodeId&, std::string_view op) {
           if (op == "w") {
-            c.tm(node).Write(txn, 0, "k" + std::to_string(txn), "v",
+            c.tm(node).Write(txn, 0, StringPrintf("k%" PRIu64, txn), "v",
                              [](Status st) { TPC_CHECK(st.ok()); });
           } else {
             c.tm(node).Read(txn, 0, "k", [](Result<std::string>) {});
@@ -60,7 +61,7 @@ harness::SweepCell RunMix(bool read_only_opt, double ro_fraction,
     const std::string op = read_only ? "r" : "w";
     uint64_t txn = c.tm("coord").Begin();
     if (!read_only) {
-      c.tm("coord").Write(txn, 0, "c" + std::to_string(txn), "v",
+      c.tm("coord").Write(txn, 0, StringPrintf("c%" PRIu64, txn), "v",
                           [](Status st) { TPC_CHECK(st.ok()); });
     } else {
       c.tm("coord").Read(txn, 0, "k", [](Result<std::string>) {});

@@ -251,7 +251,7 @@ void DemoGroupCommit() {
     std::vector<std::shared_ptr<harness::DrivenCommit>> commits;
     for (int i = 0; i < kTxns; ++i) {
       uint64_t txn = c.tm("coord").Begin();
-      c.tm("coord").Write(txn, 0, "k" + std::to_string(i), "v",
+      c.tm("coord").Write(txn, 0, StringPrintf("k%d", i), "v",
                           [](Status st) { TPC_CHECK(st.ok()); });
       TPC_CHECK(c.tm("coord").SendWork(txn, "sub").ok());
       c.RunFor(2 * sim::kMillisecond);

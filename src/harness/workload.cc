@@ -1,6 +1,7 @@
 #include "harness/workload.h"
 
 #include <algorithm>
+#include <cinttypes>
 #include <set>
 #include <vector>
 
@@ -11,7 +12,7 @@ namespace tpc::harness {
 namespace {
 
 std::string ServerName(size_t i) {
-  return "s" + std::to_string(i);
+  return StringPrintf("s%zu", i);
 }
 
 }  // namespace
@@ -87,7 +88,7 @@ WorkloadStats Workload::Run() {
       if (!read_only && rng_.Bernoulli(options_.hot_key_fraction)) {
         key = "hot";
       } else {
-        key = "k" + std::to_string(rng_.Uniform(options_.keys));
+        key = StringPrintf("k%" PRIu64, rng_.Uniform(options_.keys));
       }
       const std::string op = (read_only ? "r:" : "w:") + key;
       TPC_CHECK(cluster_->tm("coord").SendWork(txn, ServerName(server), op).ok());

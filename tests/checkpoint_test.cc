@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/cluster.h"
+#include "util/format.h"
 
 namespace tpc {
 namespace {
@@ -15,7 +16,7 @@ using harness::NodeOptions;
 void SubWritesOnData(Cluster& c, const std::string& node) {
   c.tm(node).SetAppDataHandler(
       [&c, node](uint64_t txn, const net::NodeId&, std::string_view v) {
-        c.tm(node).Write(txn, 0, "k" + std::string(v), std::string(v),
+        c.tm(node).Write(txn, 0, std::string("k").append(v), std::string(v),
                          [](Status st) { ASSERT_TRUE(st.ok()); });
       });
 }
@@ -54,7 +55,7 @@ TEST(CheckpointTest, StateSurvivesCrashViaSnapshotAlone) {
   c.node("a").Restart();
   c.RunFor(sim::kSecond);
   for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(c.node("a").rm().Peek("k" + std::to_string(i)).value_or(""),
+    EXPECT_EQ(c.node("a").rm().Peek(StringPrintf("k%d", i)).value_or(""),
               std::to_string(i));
   }
 }
@@ -109,7 +110,7 @@ TEST(CheckpointTest, RepeatedCheckpointsKeepTruncating) {
   SubWritesOnData(c, "b");
   uint64_t last_base = 0;
   for (int round = 0; round < 3; ++round) {
-    CommitOne(c, "r" + std::to_string(round));
+    CommitOne(c, StringPrintf("r%d", round));
     bool done = false;
     ASSERT_TRUE(c.node("a").Checkpoint([&] { done = true; }).ok());
     c.RunFor(sim::kSecond);
@@ -123,7 +124,7 @@ TEST(CheckpointTest, RepeatedCheckpointsKeepTruncating) {
   c.node("a").Restart();
   c.RunFor(sim::kSecond);
   for (int round = 0; round < 3; ++round) {
-    std::string v = "r" + std::to_string(round);
+    std::string v = StringPrintf("r%d", round);
     EXPECT_EQ(c.node("a").rm().Peek("k" + v).value_or(""), v);
   }
 }
@@ -135,7 +136,7 @@ TEST(CheckpointTest, MultipleRmsSnapshotTogether) {
   c.AddNode("a", options);
   uint64_t txn = c.tm("a").Begin();
   for (size_t i = 0; i < 3; ++i) {
-    c.tm("a").Write(txn, i, "k", "v" + std::to_string(i),
+    c.tm("a").Write(txn, i, "k", StringPrintf("v%zu", i),
                     [](Status st) { ASSERT_TRUE(st.ok()); });
   }
   auto commit = c.CommitAndWait("a", txn);
@@ -151,7 +152,7 @@ TEST(CheckpointTest, MultipleRmsSnapshotTogether) {
   c.RunFor(sim::kSecond);
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(c.node("a").rm(i).Peek("k").value_or(""),
-              "v" + std::to_string(i));
+              StringPrintf("v%zu", i));
   }
 }
 

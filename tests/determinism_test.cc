@@ -7,6 +7,7 @@
 
 #include "harness/cluster.h"
 #include "sim/trace.h"
+#include "util/format.h"
 
 namespace tpc {
 namespace {
@@ -31,7 +32,7 @@ std::string RunScriptedCluster(uint64_t seed) {
   }
   for (int i = 0; i < 5; ++i) {
     uint64_t txn = c.tm("a").Begin();
-    c.tm("a").Write(txn, 0, "k" + std::to_string(i), "v", [](Status) {});
+    c.tm("a").Write(txn, 0, StringPrintf("k%d", i), "v", [](Status) {});
     EXPECT_TRUE(c.tm("a").SendWork(txn, "b").ok());
     EXPECT_TRUE(c.tm("a").SendWork(txn, "d").ok());
     c.RunFor(100 * sim::kMillisecond);

@@ -4,6 +4,7 @@
 
 #include "lock/lock_manager.h"
 #include "sim/sim_context.h"
+#include "util/format.h"
 
 namespace tpc::lock {
 namespace {
@@ -161,10 +162,10 @@ TEST_F(LockManagerTest, WaitTimeStatisticsRecorded) {
 
 TEST_F(LockManagerTest, ReleaseAllCoversManyKeys) {
   for (int i = 0; i < 10; ++i)
-    EXPECT_TRUE(Acquire(1, "k" + std::to_string(i), LockMode::kExclusive).ok());
+    EXPECT_TRUE(Acquire(1, StringPrintf("k%d", i), LockMode::kExclusive).ok());
   locks_.ReleaseAll(1);
   for (int i = 0; i < 10; ++i)
-    EXPECT_TRUE(Acquire(2, "k" + std::to_string(i), LockMode::kExclusive).ok());
+    EXPECT_TRUE(Acquire(2, StringPrintf("k%d", i), LockMode::kExclusive).ok());
 }
 
 TEST_F(LockManagerTest, ReleaseUnknownTxnIsNoOp) {

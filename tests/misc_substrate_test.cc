@@ -9,6 +9,7 @@
 #include "sim/failure_injector.h"
 #include "sim/trace.h"
 #include "tm/protocol_messages.h"
+#include "util/format.h"
 
 namespace tpc {
 namespace {
@@ -327,14 +328,14 @@ TEST(TmEdgeCaseTest, MultipleRmsOnOneNodeAllParticipate) {
   c.AddNode("a", options);
   uint64_t txn = c.tm("a").Begin();
   for (size_t i = 0; i < 3; ++i) {
-    c.tm("a").Write(txn, i, "k", "v" + std::to_string(i),
+    c.tm("a").Write(txn, i, "k", StringPrintf("v%zu", i),
                     [](Status st) { ASSERT_TRUE(st.ok()); });
   }
   auto commit = c.CommitAndWait("a", txn);
   ASSERT_TRUE(commit.completed);
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(c.node("a").rm(i).Peek("k").value_or(""),
-              "v" + std::to_string(i));
+              StringPrintf("v%zu", i));
   }
 }
 

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <map>
 #include <memory>
 #include <set>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "harness/cluster.h"
+#include "util/format.h"
 #include "util/random.h"
 
 namespace tpc {
@@ -33,7 +35,9 @@ using tm::ProtocolKind;
 constexpr int kNodes = 4;
 constexpr int kTxns = 30;
 
-std::string NodeName(int i) { return "n" + std::to_string(i); }
+std::string NodeName(int i) { return StringPrintf("n%d", i); }
+/// The marker key each participant writes for a transaction.
+std::string TxnKey(uint64_t txn) { return StringPrintf("t%" PRIu64, txn); }
 
 class RandomWorkloadTest
     : public ::testing::TestWithParam<std::tuple<ProtocolKind, uint64_t>> {};
@@ -58,7 +62,7 @@ TEST_P(RandomWorkloadTest, EveryTransactionIsAllOrNothing) {
     const std::string name = NodeName(i);
     c.tm(name).SetAppDataHandler(
         [&c, name](uint64_t txn, const net::NodeId&, std::string_view) {
-          c.tm(name).Write(txn, 0, "t" + std::to_string(txn), "done",
+          c.tm(name).Write(txn, 0, TxnKey(txn), "done",
                            [](Status) { /* may fail if node crashes */ });
         });
   }
@@ -111,8 +115,8 @@ TEST_P(RandomWorkloadTest, EveryTransactionIsAllOrNothing) {
     record.id = c.tm(coord_name).Begin();
     record.coordinator = coord_name;
     record.participants.insert(coord_name);
-    c.tm(coord_name).Write(record.id, 0, "t" + std::to_string(record.id),
-                           "done", [](Status) {});
+    c.tm(coord_name).Write(record.id, 0, TxnKey(record.id), "done",
+                           [](Status) {});
     // 1-3 random other participants.
     uint64_t extra = rng.UniformRange(1, 3);
     for (uint64_t k = 0; k < extra; ++k) {
@@ -158,7 +162,7 @@ TEST_P(RandomWorkloadTest, EveryTransactionIsAllOrNothing) {
 
     // All-or-nothing markers. A node's marker exists iff its local view
     // committed; cross-node agreement is what matters.
-    const std::string key = "t" + std::to_string(record.id);
+    const std::string key = TxnKey(record.id);
     int with_marker = 0;
     int participants_with_state = 0;
     for (const std::string& node : record.participants) {

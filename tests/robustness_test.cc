@@ -65,11 +65,10 @@ TEST(RobustnessTest, TruncatedProtocolMessageIsDropped) {
   pdu.type = tm::PduType::kPrepare;
   pdu.txn = 42;
   std::string payload = tm::EncodePdus({pdu});
-  net::LegacyMessage msg;
-  msg.from = "a";
-  msg.to = "b";
-  msg.trace_tag = "TRUNCATED";
-  msg.payload = payload.substr(0, payload.size() / 2);
+  net::LegacyMessage msg{.from = "a",
+                         .to = "b",
+                         .trace_tag = "TRUNCATED",
+                         .payload = payload.substr(0, payload.size() / 2)};
   ASSERT_TRUE(c.network().SendLegacy(std::move(msg)).ok());
   c.RunFor(sim::kSecond);
   // b neither crashed nor created transaction state.

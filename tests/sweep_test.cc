@@ -15,6 +15,7 @@
 
 #include "harness/bench_report.h"
 #include "harness/cluster.h"
+#include "util/format.h"
 #include "util/logging.h"
 
 namespace tpc::harness {
@@ -49,7 +50,7 @@ SweepCell CommitCell(size_t i) {
   TPC_CHECK(commit.completed);
 
   SweepCell cell;
-  cell.label = "cell" + std::to_string(i);
+  cell.label = StringPrintf("cell%zu", i);
   cell.events = c.ctx().events().executed();
   cell.txns = 1;
   cell.sim_time = c.ctx().now();
@@ -74,13 +75,13 @@ TEST(SweepTest, ResultsAreInGridOrderRegardlessOfCompletionOrder) {
       16,
       [](size_t i) {
         SweepCell cell;
-        cell.label = "c" + std::to_string(i);
+        cell.label = StringPrintf("c%zu", i);
         cell.events = i;
         return cell;
       },
       /*threads=*/4);
   for (size_t i = 0; i < cells.size(); ++i) {
-    EXPECT_EQ(cells[i].label, "c" + std::to_string(i));
+    EXPECT_EQ(cells[i].label, StringPrintf("c%zu", i));
     EXPECT_EQ(cells[i].events, i);
   }
 }
