@@ -157,8 +157,9 @@ struct Driver {
   }
 };
 
-/// Durable-state projection of one node: every RM's committed store plus its
-/// in-doubt flag for `txn`. Recovery idempotency compares these strings.
+/// State projection of one node: every RM's live store (which includes the
+/// writes of transactions still active or in doubt) plus its in-doubt flag
+/// for `txn`. Recovery idempotency compares these strings.
 std::string SnapshotNode(Cluster& c, const std::string& name, uint64_t txn) {
   std::string out;
   Node& node = c.node(name);

@@ -119,10 +119,14 @@ class KVResourceManager : public ResourceManager {
 
   // --- introspection -------------------------------------------------------
 
-  /// Committed value lookup outside any transaction (tests/verification).
+  /// Current value lookup outside any transaction (tests/verification).
+  /// Writes apply in place and are undone on abort, so this is the live
+  /// image: it includes uncommitted writes of active and in-doubt
+  /// transactions, not only committed ones.
   Result<std::string> Peek(std::string_view key) const;
 
-  /// Full committed-store snapshot (oracle/verification use only).
+  /// The whole live store, with the same uncommitted writes as Peek
+  /// (oracle/verification use only).
   const std::map<std::string, std::string, std::less<>>& store() const {
     return store_;
   }
