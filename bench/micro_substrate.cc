@@ -199,7 +199,6 @@ void BM_NetworkSendDeliverLegacy(benchmark::State& state) {
     net::LegacyMessage msg{.from = "a",
                            .to = "b",
                            .kind = net::MsgKind::kApp,
-                           .trace_tag = {},
                            .payload = payload};
     benchmark::DoNotOptimize(network.SendLegacy(std::move(msg)));
     ctx.events().Run();

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "tm/protocol_messages.h"
 #include "util/format.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -93,6 +94,7 @@ Status Node::Checkpoint(std::function<void()> done) {
 }
 
 Cluster::Cluster(uint64_t seed) : ctx_(seed), network_(&ctx_) {
+  network_.set_describer(tm::DescribePayload);
   // Scheduled link flaps (FailureInjector::ScheduleLinkFlap) drive the
   // network's partition state.
   ctx_.failures().SetLinkController(

@@ -18,16 +18,13 @@ LiveNode::LiveNode(runtime::LiveNodeRuntime* nrt,
   // needs to know which mailbox delivers to this name.
   transport->Bind(name_, nrt_);
 
-  wal::FileStorageOptions file_options;
-  file_options.sync = cluster_options.file_sync;
   runtime::LiveNodeRuntime* mailbox = nrt_;
   storage_ = std::make_unique<wal::FileStorage>(
       cluster_options.dir + "/" + name_ + ".log",
       [mailbox](wal::StorageBackend::WriteCallback&& done) {
         mailbox->Post(
             runtime::Task([cb = std::move(done)]() mutable { cb(); }));
-      },
-      file_options);
+      });
   log_ = std::make_unique<wal::LogManager>(nrt_, &ctx_, name_,
                                            storage_.get());
   log_->set_group_commit(options.group_commit);

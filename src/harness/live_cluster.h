@@ -44,8 +44,6 @@ struct LiveClusterOptions {
   int64_t timer_tick_us = 250;
   /// Directory holding the per-node log files. Created if absent.
   std::string dir;
-  /// fdatasync each log force (off only for measuring the sync cost).
-  bool file_sync = true;
 };
 
 /// Per-node construction options (the live subset of harness::NodeOptions;

@@ -1,38 +1,28 @@
 #include "net/network.h"
 
-#include <algorithm>
-#include <utility>
-
 #include "util/logging.h"
 
 namespace tpc::net {
 
-uint32_t Network::Intern(const NodeId& name) {
-  auto it = ids_.find(name);
-  if (it != ids_.end()) return it->second;
-  const uint32_t id = static_cast<uint32_t>(names_.size());
-  ids_.emplace(name, id);
-  names_.push_back(name);
-  endpoints_.push_back(nullptr);
-  sent_by_.push_back(0);
+uint32_t Network::InternId(const NodeId& name) {
+  const uint32_t id = names_.Intern(name);
+  if (id == endpoints_.size()) {  // first sight
+    endpoints_.push_back(nullptr);
+    sent_by_.push_back(0);
+  }
   return id;
-}
-
-uint32_t Network::Find(const NodeId& name) const {
-  auto it = ids_.find(name);
-  return it == ids_.end() ? kNoNode : it->second;
 }
 
 void Network::Register(const NodeId& id, Endpoint* endpoint) {
   TPC_CHECK(endpoint != nullptr);
-  const uint32_t node = Intern(id);
+  const uint32_t node = InternId(id);
   TPC_CHECK(endpoints_[node] == nullptr);  // names must be unique
   endpoints_[node] = endpoint;
 }
 
 void Network::SetLinkLatency(const NodeId& a, const NodeId& b,
                              sim::Time latency) {
-  const uint32_t ia = Intern(a), ib = Intern(b);
+  const uint32_t ia = InternId(a), ib = InternId(b);
   // Sequential GetOrCreate calls: the second may rehash, so never hold the
   // first reference across it.
   links_.GetOrCreate(PairKey(ia, ib)).latency = latency;
@@ -40,35 +30,35 @@ void Network::SetLinkLatency(const NodeId& a, const NodeId& b,
 }
 
 void Network::SetLinkDown(const NodeId& a, const NodeId& b, bool down) {
-  const uint32_t ia = Intern(a), ib = Intern(b);
+  const uint32_t ia = InternId(a), ib = InternId(b);
   links_.GetOrCreate(PairKey(ia, ib)).down = down;
   links_.GetOrCreate(PairKey(ib, ia)).down = down;
 }
 
 bool Network::IsLinkDown(const NodeId& a, const NodeId& b) const {
-  const uint32_t ia = Find(a), ib = Find(b);
-  if (ia == kNoNode || ib == kNoNode) return false;
+  const uint32_t ia = IdOf(a), ib = IdOf(b);
+  if (ia == kNoId || ib == kNoId) return false;
   const LinkState* link = links_.Find(PairKey(ia, ib));
   return link != nullptr && link->down;
 }
 
 void Network::SetLinkLossRate(const NodeId& a, const NodeId& b, double p) {
   TPC_CHECK(p >= 0.0 && p <= 1.0);
-  const uint32_t ia = Intern(a), ib = Intern(b);
+  const uint32_t ia = InternId(a), ib = InternId(b);
   links_.GetOrCreate(PairKey(ia, ib)).loss = p;
   links_.GetOrCreate(PairKey(ib, ia)).loss = p;
 }
 
 double Network::LinkLossRate(const NodeId& a, const NodeId& b) const {
-  const uint32_t ia = Find(a), ib = Find(b);
-  if (ia == kNoNode || ib == kNoNode) return 0.0;
+  const uint32_t ia = IdOf(a), ib = IdOf(b);
+  if (ia == kNoId || ib == kNoId) return 0.0;
   const LinkState* link = links_.Find(PairKey(ia, ib));
   return link == nullptr ? 0.0 : link->loss;
 }
 
 sim::Time Network::LatencyBetween(const NodeId& a, const NodeId& b) const {
-  const uint32_t ia = Find(a), ib = Find(b);
-  if (ia == kNoNode || ib == kNoNode) return default_latency_;
+  const uint32_t ia = IdOf(a), ib = IdOf(b);
+  if (ia == kNoId || ib == kNoId) return default_latency_;
   const LinkState* link = links_.Find(PairKey(ia, ib));
   if (link == nullptr || link->latency == kDefaultLatency)
     return default_latency_;
@@ -90,17 +80,6 @@ void Network::ReleasePayload(PayloadRef ref) {
   if (ref.valid()) payload_free_.push_back(ref.index);
 }
 
-uint32_t Network::AcquireSlab(Message&& msg) {
-  if (!slab_free_.empty()) {
-    const uint32_t idx = slab_free_.back();
-    slab_free_.pop_back();
-    slab_[idx] = std::move(msg);
-    return idx;
-  }
-  slab_.push_back(std::move(msg));
-  return static_cast<uint32_t>(slab_.size() - 1);
-}
-
 Status Network::Send(Message msg) {
   const uint32_t from = msg.from;
   const uint32_t to = msg.to;
@@ -109,19 +88,20 @@ Status Network::Send(Message msg) {
     ReleasePayload(msg.payload);
     return Status::InvalidArgument(
         "unknown sender: " +
-        (from < names_.size() ? names_[from] : "(uninterned id)"));
+        (from < names_.size() ? names_.NameOf(from) : "(uninterned id)"));
   }
   if (!endpoints_[from]->IsUp()) {
     ++stats_.messages_rejected;
     ReleasePayload(msg.payload);
-    return Status::FailedPrecondition("sender is down: " + names_[from]);
+    return Status::FailedPrecondition("sender is down: " +
+                                      names_.NameOf(from));
   }
   if (to >= endpoints_.size() || endpoints_[to] == nullptr) {
     ++stats_.messages_rejected;
     ReleasePayload(msg.payload);
     return Status::InvalidArgument(
         "unknown destination: " +
-        (to < names_.size() ? names_[to] : "(uninterned id)"));
+        (to < names_.size() ? names_.NameOf(to) : "(uninterned id)"));
   }
 
   // Accepted: count the flow and its encoded bytes exactly once, here. The
@@ -132,8 +112,9 @@ Status Network::Send(Message msg) {
   ++sent_by_[from];
 
   if (tracing_) {
-    ctx_->trace().Add({ctx_->now(), sim::TraceKind::kSend, names_[from],
-                       names_[to], msg.txn, std::string(msg.TagView())});
+    ctx_->trace().Add({ctx_->now(), sim::TraceKind::kSend,
+                       names_.NameOf(from), names_.NameOf(to), msg.txn,
+                       TraceLabel(msg)});
   }
 
   // One probe fetches everything the send path needs: down flag, loss rate,
@@ -159,38 +140,20 @@ Status Network::Send(Message msg) {
     deliver_at = link.floor;  // preserve per-session FIFO order
   link.floor = deliver_at;
 
-  // Park the message and capture only (this, index, ids): 16 bytes, which
-  // the event queue stores inline — no allocation on the send path.
-  const uint32_t idx = AcquireSlab(std::move(msg));
-  ctx_->events().ScheduleAt(deliver_at,
-                            [this, idx, from, to] { Deliver(idx, from, to); });
+  // The closure captures (this, msg): 32 bytes, which the event queue
+  // stores inline — no allocation on the send path.
+  ctx_->events().ScheduleAt(deliver_at, [this, msg] { Deliver(msg); });
   return Status::OK();
 }
 
-Status Network::SendLegacy(LegacyMessage msg) {
-  Message out;
-  // By-name resolution costs the hash probes the seed path paid per send;
-  // unknown names map to kNoId and fail Send's validation as before.
-  out.from = Find(msg.from);
-  out.to = Find(msg.to);
-  out.kind = msg.kind;
-  out.txn = msg.txn;
-  if (!msg.trace_tag.empty()) out.trace_tag = msg.trace_tag;
-  if (!msg.payload.empty()) {
-    out.payload = AcquirePayload();
-    PayloadBuffer(out.payload).assign(msg.payload);
-  }
-  return Send(std::move(out));
-}
-
-void Network::Deliver(uint32_t slab_index, uint32_t from, uint32_t to) {
-  // Move the message out and recycle the slot first: the OnMessage upcall
-  // may Send (and so re-acquire slab slots) reentrantly. The payload buffer
-  // stays live until the upcall returns — reentrant sends acquire different
-  // pool slots, and the deque keeps this buffer's address stable.
-  Message msg = std::move(slab_[slab_index]);
-  slab_free_.push_back(slab_index);
-
+void Network::Deliver(const Message& msg) {
+  // `msg` lives in the delivery closure, which the event queue moved out of
+  // its slot before running it, so it survives a reentrant Send from the
+  // OnMessage upcall. The payload buffer stays live until the upcall
+  // returns: reentrant sends acquire different pool slots, and the deque
+  // keeps this buffer's address stable.
+  const uint32_t from = msg.from;
+  const uint32_t to = msg.to;
   const LinkState* link = links_.Find(PairKey(from, to));
   Endpoint* endpoint = endpoints_[to];
   if (endpoint == nullptr || !endpoint->IsUp() ||
@@ -202,30 +165,33 @@ void Network::Deliver(uint32_t slab_index, uint32_t from, uint32_t to) {
   ++stats_.messages_delivered;
   stats_.bytes_delivered += PayloadView(msg.payload).size();
   if (tracing_) {
-    ctx_->trace().Add({ctx_->now(), sim::TraceKind::kReceive, names_[to],
-                       names_[from], msg.txn, std::string(msg.TagView())});
+    ctx_->trace().Add({ctx_->now(), sim::TraceKind::kReceive,
+                       names_.NameOf(to), names_.NameOf(from), msg.txn,
+                       TraceLabel(msg)});
   }
   endpoint->OnMessage(msg);
   ReleasePayload(msg.payload);
 }
 
+std::string Network::TraceLabel(const Message& msg) const {
+  std::string label;
+  if (msg.kind == MsgKind::kPdu && describer_ != nullptr)
+    describer_(PayloadView(msg.payload), &label);
+  if (label.empty()) label.assign(MsgKindName(msg.kind));
+  return label;
+}
+
 uint64_t Network::SentBy(const NodeId& node) const {
-  const uint32_t id = Find(node);
-  return id == kNoNode ? 0 : sent_by_[id];
+  const uint32_t id = IdOf(node);
+  return id == kNoId ? 0 : sent_by_[id];
 }
 
 uint64_t Network::ApproxBytes() const {
-  uint64_t bytes = links_.ApproxBytes();
-  bytes += names_.capacity() * sizeof(std::string);
-  for (const auto& n : names_) bytes += n.capacity();
-  // ids_ is an unordered_map; approximate a node per entry.
-  bytes += ids_.size() * (sizeof(std::string) + 2 * sizeof(void*) + 16);
+  uint64_t bytes = links_.ApproxBytes() + names_.ApproxBytes();
   bytes += endpoints_.capacity() * sizeof(Endpoint*);
   bytes += sent_by_.capacity() * sizeof(uint64_t);
   for (const auto& p : payload_pool_) bytes += sizeof(std::string) + p.capacity();
   bytes += payload_free_.capacity() * sizeof(uint32_t);
-  bytes += slab_.capacity() * sizeof(Message);
-  bytes += slab_free_.capacity() * sizeof(uint32_t);
   return bytes;
 }
 

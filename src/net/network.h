@@ -10,11 +10,16 @@
 // them, and all per-link state (latency override, link-down flag, loss
 // rate, FIFO delivery floor) lives in one sparse open-addressed map keyed
 // by the directed pair — a Send performs no string building and one integer
-// hash probe, and a cluster's link memory is O(links used), not O(nodes²). Payload bytes live in a network-owned buffer pool with
-// free-list reuse (senders encode in place via PayloadBuffer), and in-flight
-// messages are parked in a reusable slab so the scheduled delivery closure
-// captures only 16 bytes and fits in the event queue's inline buffer. In
-// steady state a Send → deliver round trip performs zero allocations.
+// hash probe, and a cluster's link memory is O(links used), not O(nodes²).
+// Payload bytes live in a network-owned buffer pool with free-list reuse
+// (senders encode in place via PayloadBuffer). The scheduled delivery
+// closure captures the 24-byte message by value, which fits the event
+// queue's inline buffer. In steady state a Send → deliver round trip
+// performs zero allocations.
+//
+// Trace labels are resolved when a trace line is written: a kPdu message's
+// SEND and RECV detail is the installed describer's rendering of its
+// payload ("PREPARE+ACK"), any other message's is its kind name.
 
 #ifndef TPC_NET_NETWORK_H_
 #define TPC_NET_NETWORK_H_
@@ -22,13 +27,14 @@
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "net/message.h"
 #include "net/transport.h"
 #include "sim/sim_context.h"
 #include "util/flat_map.h"
+#include "util/interner.h"
 #include "util/status.h"
 
 namespace tpc::net {
@@ -52,6 +58,9 @@ struct NetworkStats {
 /// The cluster interconnect: the deterministic Transport backend.
 class Network : public Transport {
  public:
+  /// Renders a payload as a trace label, appending to `out`.
+  using Describer = void (*)(std::string_view payload, std::string* out);
+
   explicit Network(sim::SimContext* ctx) : ctx_(ctx) {}
 
   /// Registers a node. Names must be unique.
@@ -97,12 +106,6 @@ class Network : public Transport {
   /// message reaches its terminal state. Callers never release it.
   Status Send(Message msg) override;
 
-  /// String-path compatibility entry taking the seed message shape:
-  /// resolves the names, copies payload and tag into pooled storage, and
-  /// forwards to Send. Benches measure this as the pre-interning baseline;
-  /// tests use it to inject traffic by name.
-  Status SendLegacy(LegacyMessage msg) override;
-
   /// Latency the next message from `a` to `b` would experience.
   sim::Time LatencyBetween(const NodeId& a, const NodeId& b) const override;
 
@@ -113,10 +116,13 @@ class Network : public Transport {
   uint64_t SentBy(const NodeId& node) const;
 
   /// Enables/disables trace entries for sends and deliveries (on by default;
-  /// turn off for large throughput benches). Senders may also consult this
-  /// to skip building per-message trace tags.
+  /// turn off for large throughput benches).
   void set_tracing(bool on) { tracing_ = on; }
   bool tracing() const override { return tracing_; }
+
+  /// Installs the function that labels kPdu messages in traces (nullptr:
+  /// they trace as "PDU"). It runs only when a trace line is written.
+  void set_describer(Describer describer) { describer_ = describer; }
 
   // --- public interning surface --------------------------------------------
   // Node names map to dense uint32 ids. Components that keep per-peer flat
@@ -124,11 +130,17 @@ class Network : public Transport {
   // hashing names per message.
 
   /// Interns `name`, returning its dense id (stable for the network's life).
-  uint32_t InternId(const NodeId& name) override { return Intern(name); }
+  /// Interning does not register: link state may be configured before
+  /// nodes attach.
+  uint32_t InternId(const NodeId& name) override;
   /// Id of `name`, or kNoId if never interned. Never allocates.
-  uint32_t IdOf(const NodeId& name) const override { return Find(name); }
+  uint32_t IdOf(const NodeId& name) const override {
+    return names_.Find(name);
+  }
   /// The name interned as `id`. Requires a valid id.
-  const NodeId& NameOf(uint32_t id) const override { return names_[id]; }
+  const NodeId& NameOf(uint32_t id) const override {
+    return names_.NameOf(id);
+  }
 
   // --- pooled payload buffers ----------------------------------------------
   // Senders acquire a buffer, encode the payload directly into it via
@@ -153,12 +165,12 @@ class Network : public Transport {
   }
 
   /// Heap bytes held by the network's own tables (interning, link state,
-  /// payload pool, in-flight slab). Feeds the cluster memory budget; the
-  /// key property is that link state is O(links used), not O(nodes²).
+  /// payload pool). Feeds the cluster memory budget; the key property is
+  /// that link state is O(links used), not O(nodes²).
   uint64_t ApproxBytes() const;
 
  private:
-  static constexpr uint32_t kNoNode = UINT32_MAX;
+  static_assert(StringInterner::kNotFound == kNoId);
   static constexpr sim::Time kDefaultLatency = -1;  // sentinel in LinkState
 
   /// Per-directed-pair state, created lazily on first touch. A sparse
@@ -175,22 +187,17 @@ class Network : public Transport {
     return (static_cast<uint64_t>(a) << 32) | b;
   }
 
-  /// Interns `name`. Interning does not register: link state may be
-  /// configured before nodes attach.
-  uint32_t Intern(const NodeId& name);
-  /// Id of `name`, or kNoNode. Never allocates.
-  uint32_t Find(const NodeId& name) const;
-
   void ReleasePayload(PayloadRef ref);
-  uint32_t AcquireSlab(Message&& msg);
-  void Deliver(uint32_t slab_index, uint32_t from, uint32_t to);
+  void Deliver(const Message& msg);
+  /// SEND/RECV trace detail for `msg`: the describer's label for a kPdu
+  /// payload, else (or when that label is empty) the kind name.
+  std::string TraceLabel(const Message& msg) const;
 
   sim::SimContext* ctx_;
   sim::Time default_latency_ = sim::kMillisecond;
 
   // Interning: name -> dense id, and id -> name for trace rendering.
-  std::unordered_map<std::string, uint32_t> ids_;
-  std::vector<std::string> names_;
+  StringInterner names_;
 
   // Indexed by node id.
   std::vector<Endpoint*> endpoints_;  // nullptr: interned but not registered
@@ -206,12 +213,9 @@ class Network : public Transport {
   std::deque<std::string> payload_pool_;
   std::vector<uint32_t> payload_free_;
 
-  // Parking slab for in-flight messages (delivery closures capture an index).
-  std::vector<Message> slab_;
-  std::vector<uint32_t> slab_free_;
-
   NetworkStats stats_;
   bool tracing_ = true;
+  Describer describer_ = nullptr;
 };
 
 }  // namespace tpc::net

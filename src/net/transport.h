@@ -96,14 +96,18 @@ class Transport {
   /// msg.payload on every path.
   virtual Status Send(Message msg) = 0;
 
-  /// String-path compatibility entry taking the seed message shape.
-  virtual Status SendLegacy(LegacyMessage msg) = 0;
+  /// By-name entry taking the seed message shape: resolves both names
+  /// (an unknown one fails Send's validation), copies the payload into a
+  /// pooled buffer and forwards to Send. Tests use it to inject traffic by
+  /// name. Virtual so a decorating transport can observe it.
+  virtual Status SendLegacy(LegacyMessage msg);
 
   /// Latency the next message from `a` to `b` would experience (an estimate
   /// on live backends, where the scheduler decides).
   virtual sim::Time LatencyBetween(const NodeId& a, const NodeId& b) const = 0;
 
-  /// Whether senders should build per-message trace tags.
+  /// Whether this transport writes SEND/RECV trace lines. The engines no
+  /// longer read it; it stays for decorators that forward it.
   virtual bool tracing() const = 0;
 };
 

@@ -1,7 +1,6 @@
 #include "runtime/live_transport.h"
 
 #include <bit>
-#include <utility>
 
 #include "util/logging.h"
 
@@ -19,41 +18,16 @@ uint64_t NextHead(uint64_t head, uint32_t index) {
 
 }  // namespace
 
-// The delivery task: the whole message minus its (empty) trace tag, so it
-// fits Task's inline buffer and a delivery allocates nothing.
-struct LiveTransport::Delivery {
-  LiveTransport* transport;
-  net::Endpoint* endpoint;
-  uint64_t txn;
-  uint32_t from;
-  uint32_t to;
-  net::PayloadRef payload;
-  net::MsgKind kind;
-
-  void operator()() const {
-    net::Message msg;
-    msg.from = from;
-    msg.to = to;
-    msg.kind = kind;
-    msg.payload = payload;
-    msg.txn = txn;
-    transport->Deliver(endpoint, msg);
-  }
-};
-
 LiveTransport::~LiveTransport() {
   for (auto& segment : segments_) delete[] segment.load();
 }
 
 uint32_t LiveTransport::InternId(const net::NodeId& name) {
-  auto it = ids_.find(name);
-  if (it != ids_.end()) return it->second;
+  const uint32_t id = names_.Find(name);
+  if (id != kNoId) return id;
   TPC_CHECK(!sealed());  // a new name after the first Send
-  const uint32_t id = static_cast<uint32_t>(names_.size());
-  ids_.emplace(name, id);
-  names_.push_back(name);
   peers_.emplace_back();
-  return id;
+  return names_.Intern(name);
 }
 
 void LiveTransport::Bind(const net::NodeId& name, LiveNodeRuntime* node) {
@@ -74,13 +48,12 @@ void LiveTransport::Register(const net::NodeId& id, net::Endpoint* endpoint) {
 }
 
 uint32_t LiveTransport::IdOf(const net::NodeId& name) const {
-  auto it = ids_.find(name);
-  return it == ids_.end() ? kNoId : it->second;
+  return names_.Find(name);
 }
 
 const net::NodeId& LiveTransport::NameOf(uint32_t id) const {
   TPC_CHECK(id < names_.size());
-  return names_[id];
+  return names_.NameOf(id);
 }
 
 LiveTransport::SlotPosition LiveTransport::PositionOf(uint32_t index) {
@@ -158,7 +131,7 @@ Status LiveTransport::Reject(const char* what, uint32_t id,
   ReleasePayload(payload);
   return Status::InvalidArgument(
       std::string(what) +
-      (id < names_.size() ? names_[id] : "(uninterned id)"));
+      (id < names_.size() ? names_.NameOf(id) : "(uninterned id)"));
 }
 
 Status LiveTransport::Send(net::Message msg) {
@@ -176,31 +149,11 @@ Status LiveTransport::Send(net::Message msg) {
                               std::memory_order_relaxed);
   }
   const Peer& dest = peers_[msg.to];
-  static_assert(sizeof(Delivery) <= 64, "must fit Task's inline buffer");
-  if (msg.trace_tag.empty()) {
-    dest.mailbox->Post(Task(Delivery{this, dest.endpoint, msg.txn, msg.from,
-                                     msg.to, msg.payload, msg.kind}));
-  } else {
-    net::Endpoint* endpoint = dest.endpoint;
-    dest.mailbox->Post(Task([this, endpoint, m = std::move(msg)] {
-      Deliver(endpoint, m);
-    }));
-  }
+  // The task captures (this, endpoint, msg): 40 bytes, inside Task's
+  // inline buffer, so a delivery allocates nothing.
+  net::Endpoint* endpoint = dest.endpoint;
+  dest.mailbox->Post(Task([this, endpoint, msg] { Deliver(endpoint, msg); }));
   return Status::OK();
-}
-
-Status LiveTransport::SendLegacy(net::LegacyMessage msg) {
-  net::Message out;
-  out.from = IdOf(msg.from);
-  out.to = IdOf(msg.to);
-  out.kind = msg.kind;
-  out.txn = msg.txn;
-  if (!msg.trace_tag.empty()) out.trace_tag = msg.trace_tag;
-  if (!msg.payload.empty()) {
-    out.payload = AcquirePayload();
-    PayloadBuffer(out.payload).assign(msg.payload);
-  }
-  return Send(std::move(out));
 }
 
 void LiveTransport::Deliver(net::Endpoint* endpoint, const net::Message& msg) {

@@ -53,7 +53,9 @@ using EventId = uint64_t;
 class EventQueue {
  public:
   /// Event handler. The 48-byte buffer covers every hot-path closure in the
-  /// system (a network delivery captures 16 bytes; a std::function fits).
+  /// system (a network delivery captures 32 bytes: the network pointer and
+  /// the message; a std::function fits). Step and Run move a handler out of
+  /// its slot before invoking it, so captures outlive reentrant scheduling.
   using Callback = InlineFunction<48>;
 
   EventQueue();

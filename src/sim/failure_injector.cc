@@ -1,5 +1,6 @@
 #include "sim/failure_injector.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/logging.h"
@@ -14,20 +15,16 @@ void FailureInjector::RegisterNode(const std::string& node, CrashFn crash,
 }
 
 uint32_t FailureInjector::InternNode(const std::string& node) {
-  auto [it, inserted] =
-      node_ids_.emplace(node, static_cast<uint32_t>(nodes_.size()));
-  if (inserted) {
+  const uint32_t id = node_ids_.Intern(node);
+  if (id == nodes_.size()) {  // first sight
     nodes_.emplace_back();
     cells_.emplace_back();
   }
-  return it->second;
+  return id;
 }
 
 uint32_t FailureInjector::InternPoint(const std::string& point) {
-  auto [it, inserted] =
-      point_ids_.emplace(point, static_cast<uint32_t>(point_count_));
-  if (inserted) ++point_count_;
-  return it->second;
+  return point_ids_.Intern(point);
 }
 
 FailureInjector::PointState& FailureInjector::Cell(uint32_t node,
@@ -35,7 +32,7 @@ FailureInjector::PointState& FailureInjector::Cell(uint32_t node,
   TPC_CHECK(node < cells_.size());
   auto& per_node = cells_[node];
   if (point >= per_node.size()) {
-    per_node.resize(point_count_ > point ? point_count_ : point + 1);
+    per_node.resize(std::max<size_t>(point_ids_.size(), point + 1));
   }
   return per_node[point];
 }
@@ -55,7 +52,7 @@ bool FailureInjector::CrashPoint(uint32_t node, uint32_t point) {
   auto& per_node = cells_[node];
   if (point >= per_node.size()) {
     // First hit on a point interned after this node's row was last sized.
-    per_node.resize(point_count_ > point ? point_count_ : point + 1);
+    per_node.resize(std::max<size_t>(point_ids_.size(), point + 1));
   }
   PointState& cell = per_node[point];
   ++cell.total_hits;
@@ -92,15 +89,15 @@ void FailureInjector::CrashNode(uint32_t node) {
 }
 
 void FailureInjector::CrashNow(const std::string& node) {
-  auto it = node_ids_.find(node);
-  TPC_CHECK(it != node_ids_.end());
-  CrashNode(it->second);
+  const uint32_t n = node_ids_.Find(node);
+  TPC_CHECK(n != StringInterner::kNotFound);
+  CrashNode(n);
 }
 
 void FailureInjector::RestartNow(const std::string& node) {
-  auto it = node_ids_.find(node);
-  TPC_CHECK(it != node_ids_.end());
-  NodeState& st = nodes_[it->second];
+  const uint32_t n = node_ids_.Find(node);
+  TPC_CHECK(n != StringInterner::kNotFound);
+  NodeState& st = nodes_[n];
   TPC_CHECK(st.restart != nullptr);
   st.restart();
 }
@@ -126,29 +123,31 @@ void FailureInjector::ScheduleLinkFlap(const std::string& a,
   events_->ScheduleAt(up_at, [this, a, b] { link_fn_(a, b, false); });
 }
 
+const FailureInjector::PointState* FailureInjector::FindCell(
+    const std::string& node, const std::string& point) const {
+  const uint32_t n = node_ids_.Find(node);
+  const uint32_t p = point_ids_.Find(point);
+  if (n == StringInterner::kNotFound || p == StringInterner::kNotFound)
+    return nullptr;
+  const auto& per_node = cells_[n];
+  return p < per_node.size() ? &per_node[p] : nullptr;
+}
+
 uint64_t FailureInjector::hits(const std::string& node,
                                const std::string& point) const {
-  auto n = node_ids_.find(node);
-  auto p = point_ids_.find(point);
-  if (n == node_ids_.end() || p == point_ids_.end()) return 0;
-  const auto& per_node = cells_[n->second];
-  if (p->second >= per_node.size()) return 0;
-  return per_node[p->second].total_hits;
+  const PointState* cell = FindCell(node, point);
+  return cell == nullptr ? 0 : cell->total_hits;
 }
 
 uint64_t FailureInjector::epoch_hits(const std::string& node,
                                      const std::string& point) const {
-  auto n = node_ids_.find(node);
-  auto p = point_ids_.find(point);
-  if (n == node_ids_.end() || p == point_ids_.end()) return 0;
-  const auto& per_node = cells_[n->second];
-  if (p->second >= per_node.size()) return 0;
-  return per_node[p->second].epoch_hits;
+  const PointState* cell = FindCell(node, point);
+  return cell == nullptr ? 0 : cell->epoch_hits;
 }
 
 int FailureInjector::node_epoch(const std::string& node) const {
-  auto n = node_ids_.find(node);
-  return n == node_ids_.end() ? 0 : nodes_[n->second].epoch;
+  const uint32_t n = node_ids_.Find(node);
+  return n == StringInterner::kNotFound ? 0 : nodes_[n].epoch;
 }
 
 void FailureInjector::DisarmAll() {

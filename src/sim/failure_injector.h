@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "sim/event_queue.h"
+#include "util/interner.h"
 
 namespace tpc::sim {
 
@@ -135,14 +136,16 @@ class FailureInjector {
     return (static_cast<uint64_t>(node) << 32) | point;
   }
   PointState& Cell(uint32_t node, uint32_t point);
+  /// The (node, point) cell by name, or nullptr if never touched.
+  const PointState* FindCell(const std::string& node,
+                             const std::string& point) const;
   void CrashNode(uint32_t node);
 
   EventQueue* events_;
   LinkFn link_fn_;
 
-  std::unordered_map<std::string, uint32_t> node_ids_;
-  std::unordered_map<std::string, uint32_t> point_ids_;
-  size_t point_count_ = 0;
+  StringInterner node_ids_;
+  StringInterner point_ids_;
 
   std::vector<NodeState> nodes_;                 // indexed by node id
   std::vector<std::vector<PointState>> cells_;   // [node id][point id]

@@ -18,9 +18,9 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "net/message.h"
 #include "rm/resource_manager.h"
 #include "tm/types.h"
 #include "util/result.h"
@@ -253,12 +253,11 @@ Result<std::vector<Pdu>> DecodePdus(std::string_view payload);
 /// Human-readable tag for traces: "PREPARE" or "ACK+APP_DATA".
 std::string DescribePdus(const std::vector<Pdu>& pdus);
 
-/// Appends the same human-readable tag, derived from an already-encoded
-/// payload, into a message trace tag — the in-place send path builds its
-/// trace label from the bytes it just wrote instead of a PDU vector it no
-/// longer has. Frames after a malformed one are ignored (callers only
-/// describe payloads they encoded themselves).
-void DescribePayload(std::string_view payload, net::TraceTag* tag);
+/// Appends the same human-readable tag, derived from an encoded payload,
+/// to `out`. It is the simulated network's trace describer
+/// (net::Network::set_describer): a SEND or RECV line labels a PDU bundle
+/// from the bytes on the wire. Frames after a malformed one are ignored.
+void DescribePayload(std::string_view payload, std::string* out);
 
 }  // namespace tpc::tm
 

@@ -201,10 +201,7 @@ void TransactionManager::SendPdu(const net::NodeId& peer, const Pdu& pdu,
   } else {
     writer.Append(pdu, app_data);  // app bytes go view -> buffer, copy-free
   }
-  // The describe tag exists only for traces; skip building it when tracing
-  // is off.
-  if (network_->tracing()) DescribePayload(buf, &msg.trace_tag);
-  TPC_CHECK_OK(network_->Send(std::move(msg)));
+  TPC_CHECK_OK(network_->Send(msg));
 }
 
 void TransactionManager::BufferPdu(const net::NodeId& peer, Pdu pdu) {

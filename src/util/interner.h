@@ -59,6 +59,14 @@ class StringInterner {
 
   size_t size() const { return names_.size(); }
 
+  /// Heap bytes held by the id table and the interned names.
+  uint64_t ApproxBytes() const {
+    uint64_t bytes = table_.capacity() * sizeof(uint32_t) +
+                     names_.capacity() * sizeof(std::string);
+    for (const std::string& n : names_) bytes += n.capacity();
+    return bytes;
+  }
+
  private:
   static constexpr size_t kInitialBuckets = 64;  // power of two
   static constexpr uint32_t kEmpty = UINT32_MAX;

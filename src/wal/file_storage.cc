@@ -75,7 +75,7 @@ void FileStorage::ServiceNext() {
     TPC_CHECK(n >= 0);
     written += static_cast<size_t>(n);
   }
-  if (options_.sync && !data.empty()) TPC_CHECK(::fdatasync(fd_) == 0);
+  if (!data.empty()) TPC_CHECK(::fdatasync(fd_) == 0);
   const int64_t elapsed = NowUs() - start;
   if (elapsed < options_.floor_us)
     std::this_thread::sleep_for(

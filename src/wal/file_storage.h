@@ -60,9 +60,6 @@ namespace tpc::wal {
 /// argument — GCC rejects brace-defaulting a nested aggregate with member
 /// initializers inside the enclosing class.
 struct FileStorageOptions {
-  /// fdatasync after every write (the durability point). Tests may turn
-  /// it off to measure the sync cost itself; a real deployment never does.
-  bool sync = true;
   /// Minimum wall-clock service time per write, microseconds (0 = none).
   int64_t floor_us = 0;
 };

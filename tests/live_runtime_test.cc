@@ -108,7 +108,7 @@ class CheckingEndpoint final : public net::Endpoint {
   void OnMessage(const net::Message& msg) override {
     ++delivered_;
     const std::string_view payload = transport_->PayloadOf(msg);
-    last_tag_.assign(msg.TagView());
+    last_from_ = msg.from;
     last_payload_.assign(payload);
     last_txn_ = msg.txn;
     if (payload.size() != sizeof(uint64_t) || msg.from >= next_.size()) return;
@@ -127,7 +127,7 @@ class CheckingEndpoint final : public net::Endpoint {
   // Read these after the runtime went idle.
   uint64_t delivered() const { return delivered_; }
   uint64_t out_of_order() const { return out_of_order_; }
-  const std::string& last_tag() const { return last_tag_; }
+  uint32_t last_from() const { return last_from_; }
   const std::string& last_payload() const { return last_payload_; }
   uint64_t last_txn() const { return last_txn_; }
 
@@ -139,7 +139,7 @@ class CheckingEndpoint final : public net::Endpoint {
   std::vector<std::atomic<uint64_t>> received_;
   uint64_t delivered_ = 0;
   uint64_t out_of_order_ = 0;
-  std::string last_tag_;
+  uint32_t last_from_ = net::Transport::kNoId;
   std::string last_payload_;
   uint64_t last_txn_ = 0;
 };
@@ -194,9 +194,9 @@ TEST(LiveTransportTest, RejectsUnknownPeersAndRecyclesTheirPayloads) {
   EXPECT_EQ(transport.payload_buffers(), 1u);
 }
 
-// A trace-tagged message cannot ride the inline delivery task; it takes
-// the heap-closure path and arrives whole.
-TEST(LiveTransportTest, DeliversATraceTaggedLegacyMessage) {
+// A by-name message resolves both names and arrives whole on the same
+// inline delivery task as any other.
+TEST(LiveTransportTest, DeliversALegacyMessage) {
   runtime::LiveRuntime rt(runtime::LiveOptions{1, 100});
   runtime::LiveTransport transport;
   CheckingEndpoint a(&transport, 0), b(&transport, 0);
@@ -210,7 +210,6 @@ TEST(LiveTransportTest, DeliversATraceTaggedLegacyMessage) {
   msg.from = "a";
   msg.to = "b";
   msg.kind = net::MsgKind::kApp;
-  msg.trace_tag = "PREPARE+ACK";
   msg.payload = "payload";
   msg.txn = 42;
   EXPECT_TRUE(transport.SendLegacy(std::move(msg)).ok());
@@ -218,7 +217,7 @@ TEST(LiveTransportTest, DeliversATraceTaggedLegacyMessage) {
   rt.Stop();
 
   EXPECT_EQ(b.delivered(), 1u);
-  EXPECT_EQ(b.last_tag(), "PREPARE+ACK");
+  EXPECT_EQ(b.last_from(), transport.IdOf("a"));
   EXPECT_EQ(b.last_payload(), "payload");
   EXPECT_EQ(b.last_txn(), 42u);
   EXPECT_EQ(transport.stats().bytes_sent, 7u);
@@ -805,7 +804,7 @@ TEST(LiveClusterTest, RecoversCommittedStateFromFiles) {
 
   // Phase 1: commit kTxns transactions, force the log tails, stop.
   {
-    LiveCluster c(LiveClusterOptions{2, 250, dir, true});
+    LiveCluster c(LiveClusterOptions{2, 250, dir});
     LiveNodeOptions o;
     o.tm.protocol = ProtocolKind::kPresumedAbort;
     c.AddNode("coord", o);
@@ -849,7 +848,7 @@ TEST(LiveClusterTest, RecoversCommittedStateFromFiles) {
   // Phase 2: a fresh cluster on the same directory. FileStorage reloads the
   // fsync'd files; crash-then-restart replays them into the RMs.
   {
-    LiveCluster c(LiveClusterOptions{2, 250, dir, true});
+    LiveCluster c(LiveClusterOptions{2, 250, dir});
     LiveNodeOptions o;
     o.tm.protocol = ProtocolKind::kPresumedAbort;
     c.AddNode("coord", o);

@@ -20,15 +20,14 @@ class RecordingEndpoint : public Endpoint {
       : ctx_(ctx), network_(network) {}
 
   void OnMessage(const Message& msg) override {
-    received.push_back({ctx_->now(), msg.from, std::string(msg.TagView()),
-                        std::string(network_->PayloadOf(msg))});
+    received.push_back(
+        {ctx_->now(), msg.from, std::string(network_->PayloadOf(msg))});
   }
   bool IsUp() const override { return up; }
 
   struct Delivery {
     sim::Time at;
     uint32_t from;
-    std::string tag;
     std::string payload;
   };
   std::vector<Delivery> received;
@@ -46,14 +45,28 @@ class NetworkTest : public ::testing::Test {
     network_.Register("b", &b_);
   }
 
+  /// A message from `from` to `to`, carrying `payload` (none if empty).
   Message Make(const std::string& from, const std::string& to,
-               std::string_view tag = "PING") {
+               std::string_view payload = {},
+               MsgKind kind = MsgKind::kOther) {
     Message msg;
     msg.from = network_.InternId(from);
     msg.to = network_.InternId(to);
-    msg.trace_tag = tag;
+    msg.kind = kind;
     msg.txn = 1;
+    if (!payload.empty()) {
+      msg.payload = network_.AcquirePayload();
+      network_.PayloadBuffer(msg.payload).assign(payload);
+    }
     return msg;
+  }
+
+  /// Trace details of every SEND and RECV line, in trace order.
+  std::vector<std::string> TraceDetails() {
+    std::vector<std::string> details;
+    for (const sim::TraceEntry& e : ctx_.trace().entries())
+      details.push_back(e.detail);
+    return details;
   }
 
   sim::SimContext ctx_;
@@ -85,8 +98,8 @@ TEST_F(NetworkTest, SessionOrderPreservedWhenLatencyDrops) {
   ASSERT_TRUE(network_.Send(Make("a", "b", "SECOND")).ok());
   ctx_.events().Run();
   ASSERT_EQ(b_.received.size(), 2u);
-  EXPECT_EQ(b_.received[0].tag, "FIRST");
-  EXPECT_EQ(b_.received[1].tag, "SECOND");
+  EXPECT_EQ(b_.received[0].payload, "FIRST");
+  EXPECT_EQ(b_.received[1].payload, "SECOND");
   EXPECT_GE(b_.received[1].at, b_.received[0].at);
 }
 
@@ -168,14 +181,12 @@ TEST_F(NetworkTest, LegacySendResolvesNamesAndCopiesPayload) {
   LegacyMessage msg;
   msg.from = "a";
   msg.to = "b";
-  msg.trace_tag = "LEGACY";
   msg.payload = "abcdef";
   msg.txn = 7;
   ASSERT_TRUE(network_.SendLegacy(std::move(msg)).ok());
   ctx_.events().Run();
   ASSERT_EQ(b_.received.size(), 1u);
   EXPECT_EQ(b_.received[0].from, network_.IdOf("a"));
-  EXPECT_EQ(b_.received[0].tag, "LEGACY");
   EXPECT_EQ(b_.received[0].payload, "abcdef");
   EXPECT_EQ(network_.stats().bytes_sent, 6u);
 
@@ -190,6 +201,30 @@ TEST_F(NetworkTest, TraceRecordsSendAndReceive) {
   ctx_.events().Run();
   EXPECT_EQ(ctx_.trace().Count(sim::TraceKind::kSend, "a"), 1u);
   EXPECT_EQ(ctx_.trace().Count(sim::TraceKind::kReceive, "b"), 1u);
+}
+
+// Example describer: a kPdu message's trace label is derived from its payload
+// when the SEND or RECV line is written.
+void DescribeAsBrackets(std::string_view payload, std::string* out) {
+  out->append("[");
+  out->append(payload);
+  out->append("]");
+}
+
+TEST_F(NetworkTest, DescriberLabelsPduTraceLines) {
+  network_.set_describer(DescribeAsBrackets);
+  ASSERT_TRUE(network_.Send(Make("a", "b", "VOTE", MsgKind::kPdu)).ok());
+  ASSERT_TRUE(network_.Send(Make("b", "a", "data", MsgKind::kApp)).ok());
+  ctx_.events().Run();
+  // SEND a->b, SEND b->a, then both RECVs at the same instant.
+  EXPECT_EQ(TraceDetails(),
+            (std::vector<std::string>{"[VOTE]", "APP", "[VOTE]", "APP"}));
+}
+
+TEST_F(NetworkTest, PduTracesAsItsKindWithoutADescriber) {
+  ASSERT_TRUE(network_.Send(Make("a", "b", "VOTE", MsgKind::kPdu)).ok());
+  ctx_.events().Run();
+  EXPECT_EQ(TraceDetails(), (std::vector<std::string>{"PDU", "PDU"}));
 }
 
 TEST_F(NetworkTest, TracingCanBeDisabled) {
@@ -241,8 +276,8 @@ TEST_F(NetworkTest, FlapPreservesSessionOrderAcrossSurvivors) {
   });
   ctx_.events().Run();
   ASSERT_EQ(b_.received.size(), 2u);
-  EXPECT_EQ(b_.received[0].tag, "SECOND");
-  EXPECT_EQ(b_.received[1].tag, "THIRD");
+  EXPECT_EQ(b_.received[0].payload, "SECOND");
+  EXPECT_EQ(b_.received[1].payload, "THIRD");
   EXPECT_LE(b_.received[0].at, b_.received[1].at);
 }
 
@@ -281,7 +316,6 @@ TEST(NetworkLossDeterminism, SameSeedSameDropPattern) {
       Message msg;
       msg.from = network.InternId("a");
       msg.to = network.InternId("b");
-      msg.trace_tag = "N";
       msg.txn = static_cast<uint64_t>(i) + 1;
       EXPECT_TRUE(network.Send(std::move(msg)).ok());
     }
